@@ -129,29 +129,19 @@ func run(o options) error {
 	ds := dataset.Dataset{Files: files}
 	log.Printf("dataset: %d files, %v", ds.Count(), ds.TotalSize())
 
-	var resumeOffsets map[string]units.Bytes
+	var resume *proto.RecoveryPlan
 	if o.resume {
-		ranges, skipped, err := proto.ResumeRanges(o.out, files)
-		if err != nil {
+		if resume, err = proto.PlanResume(o.out, files, proto.ResumeOptions{}); err != nil {
 			return fmt.Errorf("planning resume: %w", err)
 		}
-		// Every file starts presumed complete; the planned ranges then
-		// record what still needs moving. Files absent from the plan
-		// keep their full-size offset and are skipped entirely.
-		resumeOffsets = make(map[string]units.Bytes, ds.Count())
-		for _, f := range files {
-			resumeOffsets[f.Name] = f.Size
-		}
 		partial := 0
-		for _, r := range ranges {
-			resumeOffsets[r.File.Name] = r.Offset
-			if r.Offset > 0 {
+		for _, rs := range resume.ByFile {
+			if rs[0].Offset > 0 {
 				partial++
 			}
 		}
-		complete := ds.Count() - len(ranges)
 		log.Printf("resume: %v already present (%d files complete, %d partial)",
-			skipped, complete, partial)
+			resume.Skipped, ds.Count()-len(resume.ByFile), partial)
 	}
 
 	// -trace records the full JSONL event stream — spans, transfer
@@ -207,12 +197,12 @@ func run(o options) error {
 			MaxChannels:    o.maxChannels,
 			ServersPerSite: serversPerSite,
 		},
-		ResumeOffsets: resumeOffsets,
-		MaxRetries:    o.retries,
-		Metrics:       metrics,
-		Events:        events,
-		Trace:         tracer,
-		Label:         strings.ToUpper(o.algo),
+		Resume:     resume,
+		MaxRetries: o.retries,
+		Metrics:    metrics,
+		Events:     events,
+		Trace:      tracer,
+		Label:      strings.ToUpper(o.algo),
 	}
 
 	ctx := context.Background()

@@ -196,8 +196,8 @@ func ProMCWith(ctx context.Context, exec transfer.Executor, ds dataset.Dataset, 
 			chunks[i].Pipelining = opts.PipeliningOverride
 		}
 	}
-	weights := chunkWeights(chunks)
-	alloc := allocateByWeight(concurrency, weights)
+	raw, weights := chunkWeights(chunks)
+	alloc := allocateByWeight(concurrency, raw)
 	plan := transfer.Plan{
 		Chunks:            planFromChunks(chunks, alloc, weights),
 		ReallocOnComplete: true,

@@ -51,8 +51,8 @@ func HTEEWith(ctx context.Context, exec transfer.Executor, ds dataset.Dataset, m
 	}
 	env := exec.Env()
 	chunks := prepareChunks(env, ds)
-	weights := chunkWeights(chunks)
-	alloc := allocateByWeight(1, weights)
+	raw, weights := chunkWeights(chunks)
+	alloc := allocateByWeight(1, raw)
 	plan := transfer.Plan{
 		Chunks:            planFromChunks(chunks, alloc, weights),
 		ReallocOnComplete: true,

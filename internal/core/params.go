@@ -10,8 +10,6 @@
 package core
 
 import (
-	"math"
-
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/transfer"
 	"github.com/didclab/eta/internal/units"
@@ -76,58 +74,39 @@ func prepareChunks(env transfer.Environment, ds dataset.Dataset) []dataset.Chunk
 	return chunks
 }
 
-// chunkWeights computes the HTEE weights (Algorithm 2 lines 6–11):
-// weight_i = log(size_i)·log(count_i), normalized to sum to one.
-func chunkWeights(chunks []dataset.Chunk) []float64 {
-	weights := make([]float64, len(chunks))
+// chunkWeights computes the HTEE weights (Algorithm 2 lines 6–11),
+// weight_i = log(size_i)·log(count_i). It returns them raw, for
+// allocateByWeight, and normalized to sum to one, for the plan.
+func chunkWeights(chunks []dataset.Chunk) (raw, norm []float64) {
+	raw = make([]float64, len(chunks))
+	norm = make([]float64, len(chunks))
 	var total float64
 	for i, c := range chunks {
-		weights[i] = c.Weight()
-		total += weights[i]
+		raw[i] = c.Weight()
+		total += raw[i]
 	}
-	if total <= 0 {
-		for i := range weights {
-			weights[i] = 1 / float64(len(weights))
+	for i := range norm {
+		if total <= 0 {
+			norm[i] = 1 / float64(len(norm))
+		} else {
+			norm[i] = raw[i] / total
 		}
-		return weights
 	}
-	for i := range weights {
-		weights[i] /= total
-	}
-	return weights
+	return raw, norm
 }
 
-// allocateByWeight distributes n channels over the chunks proportional
-// to weights using floors (Algorithm 2 line 12), then hands the
-// remainder to the largest fractional parts so all n channels are used
-// and every chunk gets at least one when n allows it.
+// allocateByWeight distributes n channels over the chunks in proportion
+// to weights with the executors' split (transfer.SplitByWeight, which
+// normalizes the weights itself), then makes sure no chunk starves
+// while another holds several channels.
 func allocateByWeight(n int, weights []float64) []int {
 	alloc := make([]int, len(weights))
-	if n <= 0 || len(weights) == 0 {
+	if n <= 0 {
 		return alloc
 	}
-	used := 0
-	fracs := make([]float64, len(weights))
-	for i, w := range weights {
-		exact := float64(n) * w
-		alloc[i] = int(math.Floor(exact))
-		used += alloc[i]
-		fracs[i] = exact - math.Floor(exact)
-	}
-	// Remainder to the biggest fractional parts, round-robin if the
-	// remainder exceeds the chunk count.
-	for used < n {
-		best := 0
-		for i := range fracs {
-			if fracs[i] > fracs[best] {
-				best = i
-			}
-		}
-		alloc[best]++
-		fracs[best] -= 1 // pushes it behind the others for the next round
-		used++
-	}
-	// Never starve a chunk while another holds several channels.
+	transfer.SplitByWeight(alloc, n,
+		func(i int) float64 { return weights[i] },
+		func(int) bool { return true })
 	for i := range alloc {
 		if alloc[i] == 0 {
 			if j := richestChunk(alloc); alloc[j] > 1 {

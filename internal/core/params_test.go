@@ -91,7 +91,7 @@ func TestChunkWeightsNormalized(t *testing.T) {
 		{Files: g.Uniform(100, 10*units.MB).Files},
 		{Files: g.Uniform(10, 1*units.GB).Files},
 	}
-	w := chunkWeights(chunks)
+	_, w := chunkWeights(chunks)
 	if math.Abs(w[0]+w[1]-1) > 1e-9 {
 		t.Errorf("weights sum to %v", w[0]+w[1])
 	}

@@ -75,11 +75,11 @@ func SLAEE(ctx context.Context, exec transfer.Executor, ds dataset.Dataset,
 	}
 	env := exec.Env()
 	chunks := prepareChunks(env, ds)
-	weights := chunkWeights(chunks)
+	raw, weights := chunkWeights(chunks)
 	target := units.Rate(float64(maxThroughput) * slaLevel)
 
 	plan := transfer.Plan{
-		Chunks:            planFromChunks(chunks, allocateByWeight(1, weights), weights),
+		Chunks:            planFromChunks(chunks, allocateByWeight(1, raw), weights),
 		ReallocOnComplete: true,
 	}
 	sess, err := exec.Start(ctx, plan)
@@ -209,17 +209,9 @@ func SLAEE(ctx context.Context, exec transfer.Executor, ds dataset.Dataset,
 // rearrangeToward allocates n channels proportionally to chunk bytes,
 // guaranteeing Large chunks more than one channel when n permits.
 func rearrangeToward(chunks []dataset.Chunk, n int) []int {
-	var total float64
-	for _, c := range chunks {
-		total += float64(c.TotalSize())
-	}
-	weights := make([]float64, len(chunks))
+	sizes := make([]float64, len(chunks))
 	for i, c := range chunks {
-		if total > 0 {
-			weights[i] = float64(c.TotalSize()) / total
-		} else {
-			weights[i] = 1 / float64(len(chunks))
-		}
+		sizes[i] = float64(c.TotalSize())
 	}
-	return allocateByWeight(n, weights)
+	return allocateByWeight(n, sizes)
 }

@@ -83,19 +83,19 @@ func TestSequentialResumeSkipsCompleteChunk(t *testing.T) {
 	}
 	all := dataset.Dataset{Files: append(append([]dataset.File{}, a.Files...), b.Files...)}
 	srv := synthServer(t, all, nil)
-	resume := make(map[string]units.Bytes, len(a.Files))
+	have := make(map[string]units.Bytes, len(a.Files))
 	for _, f := range a.Files {
-		resume[f.Name] = f.Size // chunk a fully present at the destination
+		have[f.Name] = f.Size // chunk a fully present at the destination
 	}
 	reg := obs.NewRegistry()
 	sink := NewVerifySink()
 	exec := &Executor{
-		Client:        &Client{Addr: srv.Addr(), Counters: &Counters{}},
-		Sink:          sink,
-		Environment:   testEnv(),
-		ResumeOffsets: resume,
-		Metrics:       reg,
-		Label:         "seq-resume",
+		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}},
+		Sink:        sink,
+		Environment: testEnv(),
+		Resume:      resumeFrom(t, all.Files, have),
+		Metrics:     reg,
+		Label:       "seq-resume",
 	}
 	plan := transfer.Plan{
 		Chunks: []transfer.ChunkPlan{

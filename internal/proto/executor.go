@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,13 +39,9 @@ type Executor struct {
 	// Environment describes the path for the algorithms' parameter
 	// formulas (BDP, buffer size) and budget checks.
 	Environment transfer.Environment
-	// ResumeOffsets maps file names to byte offsets already present at
-	// the destination (from ResumeRanges); those bytes are skipped.
-	ResumeOffsets map[string]units.Bytes
-	// Resume, when set, takes precedence over ResumeOffsets: the session
-	// fetches exactly the plan's per-file ranges (journal-verified
-	// recovery from PlanResume), skipping files the plan holds no entry
-	// for. A file split across several gap ranges is finalized —
+	// Resume, when set, makes the session fetch exactly the plan's
+	// per-file ranges (from PlanResume), skipping files the plan holds no
+	// entry for. A file split across several gap ranges is finalized —
 	// Sink.Close, marker lift, files counter — only when its LAST range
 	// settles.
 	Resume *RecoveryPlan
@@ -165,19 +160,9 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 		rc := &realChunk{plan: cp, idx: i}
 		rc.span = s.root.Child(span.NameChunk, "chunk", i, "files", len(cp.Chunk.Files))
 		for _, f := range cp.Chunk.Files {
-			var frs []FileRange
+			frs := []FileRange{{File: f}}
 			if e.Resume != nil {
-				rs, ok := e.Resume.ByFile[f.Name]
-				if !ok {
-					continue // already complete at the destination
-				}
-				frs = rs
-			} else {
-				r := FileRange{File: f, Offset: e.ResumeOffsets[f.Name]}
-				if r.Remaining() == 0 {
-					continue // already complete at the destination
-				}
-				frs = []FileRange{r}
+				frs = e.Resume.ByFile[f.Name] // none: complete at the destination
 			}
 			n := 0
 			for _, r := range frs {
@@ -196,25 +181,11 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 	}
 	// A fully-resumed plan has nothing left to move.
 	s.signalDoneIfComplete()
-	var targets []int
-	if plan.Sequential {
-		// All channels go to the FIRST chunk with work left — chunk 0 may
-		// already be complete at the destination (resume), in which case
-		// handing it the whole allocation would park every worker on an
-		// empty queue until the realloc path noticed.
-		targets = make([]int, len(s.chunks))
-		for i, rc := range s.chunks {
-			if rc.remaining() > 0 {
-				targets[i] = plan.TotalChannels()
-				break
-			}
-		}
-	} else {
-		targets = make([]int, len(s.chunks))
-		for i, cp := range plan.Chunks {
-			targets[i] = cp.Channels
-		}
-	}
+	// A Sequential plan's first chunk may already be complete at the
+	// destination (resume); Placement skips it rather than parking every
+	// worker on an empty queue.
+	targets := make([]int, len(s.chunks))
+	transfer.Placement(targets, plan, s.queued)
 	if err := s.reconcile(targets); err != nil {
 		s.stopAll()
 		s.endSpans(err)
@@ -317,6 +288,15 @@ func (c *realChunk) remainingBytes() units.Bytes {
 	}
 	return total
 }
+
+// weight, queued and bytesLeft are the per-chunk inputs of the
+// allocation rules (transfer/alloc.go). The real executor counts only
+// queued ranges as live: bytes already on a channel cannot move.
+func (s *realSession) weight(i int) float64 { return s.chunks[i].plan.Weight }
+
+func (s *realSession) queued(i int) bool { return s.chunks[i].remaining() > 0 }
+
+func (s *realSession) bytesLeft(i int) float64 { return float64(s.chunks[i].remainingBytes()) }
 
 // realWorker is one live channel bound to a chunk.
 type realWorker struct {
@@ -438,7 +418,7 @@ func (s *realSession) reconcile(targets []int) error {
 		}
 		for len(have) < want {
 			w := &realWorker{chunk: rc, stop: make(chan struct{})}
-			ch, err := s.exec.Client.OpenChannel(maxI(1, rc.plan.Parallelism()))
+			ch, err := s.exec.Client.OpenChannel(rc.plan.Parallelism())
 			if err != nil {
 				return fmt.Errorf("proto: opening channel: %w", err)
 			}
@@ -455,13 +435,6 @@ func (s *realSession) reconcile(targets []int) error {
 	return nil
 }
 
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // runWorker pumps files from the worker's chunk through its channel,
 // keeping the chunk's pipelining depth of GETs outstanding. Transport
 // failures requeue the outstanding ranges and re-dial the channel, up
@@ -473,12 +446,14 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 	}
 	var window []inflight
 
+	// The channel closes (ending its span) before wg.Done, so Finish
+	// never returns ahead of a worker's teardown.
+	defer s.wg.Done()
 	defer func() {
 		if ch != nil {
 			ch.Close()
 		}
 	}()
-	defer s.wg.Done()
 
 	// requeueWindow sends every outstanding range back for another
 	// attempt (or fails the session when one is out of retries).
@@ -522,7 +497,7 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 		}
 		backoff := 5 * time.Millisecond
 		for {
-			next, err := s.exec.Client.OpenChannel(maxI(1, w.chunk.plan.Parallelism()))
+			next, err := s.exec.Client.OpenChannel(w.chunk.plan.Parallelism())
 			if err == nil {
 				ch = next
 				s.inst.channelsRedialed.Inc()
@@ -644,16 +619,17 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 		}
 		if len(window) == 0 {
 			// Chunk drained: move on per the plan's policy.
-			next := s.nextChunkFor(w)
-			if next == nil {
-				return
-			}
 			s.mu.Lock()
 			from := w.chunk.idx
-			w.chunk = next
+			next := transfer.NextChunk(s.plan, from, s.queued, s.bytesLeft)
+			if next < 0 {
+				s.mu.Unlock()
+				return
+			}
+			w.chunk = s.chunks[next]
 			s.mu.Unlock()
 			s.inst.chunksRealloc.Inc()
-			s.events.Emit(obs.EvChunkRealloc, "from_chunk", from, "to_chunk", next.idx)
+			s.events.Emit(obs.EvChunkRealloc, "from_chunk", from, "to_chunk", next)
 			continue
 		}
 		if !issued || len(window) >= pipe {
@@ -662,33 +638,6 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 			}
 		}
 	}
-}
-
-// nextChunkFor mirrors the simulator's reallocation policy.
-func (s *realSession) nextChunkFor(w *realWorker) *realChunk {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.plan.Sequential {
-		for _, rc := range s.chunks {
-			if rc != w.chunk && rc.remaining() > 0 {
-				return rc
-			}
-		}
-		return nil
-	}
-	if !s.plan.ReallocOnComplete {
-		return nil
-	}
-	var best *realChunk
-	for _, rc := range s.chunks {
-		if rc == w.chunk || !rc.plan.AcceptRealloc || rc.remaining() == 0 {
-			continue
-		}
-		if best == nil || rc.remainingBytes() > best.remainingBytes() {
-			best = rc
-		}
-	}
-	return best
 }
 
 // fileSettled books one successfully settled range of name and reports
@@ -830,74 +779,26 @@ func (s *realSession) liveWorkers() int {
 	return len(s.workers)
 }
 
-// SetTotalChannels implements transfer.Session with the same
-// weight-proportional split as the simulator.
+// SetTotalChannels implements transfer.Session: transfer.SplitByWeight
+// over the chunks with queued ranges.
 func (s *realSession) SetTotalChannels(n int) error {
-	if n < 1 {
-		return fmt.Errorf("proto: total channels %d < 1", n)
-	}
-	if s.Environment().MaxChannels > 0 && n > s.Environment().MaxChannels {
-		return fmt.Errorf("proto: total channels %d exceeds budget %d", n, s.Environment().MaxChannels)
-	}
-	type cw struct {
-		idx  int
-		frac float64
-	}
-	s.mu.Lock()
-	var totalWeight float64
-	var live []int
-	for i, rc := range s.chunks {
-		if rc.remaining() > 0 {
-			live = append(live, i)
-			totalWeight += rc.plan.Weight
-		}
-	}
-	s.mu.Unlock()
-	if len(live) == 0 {
-		return nil
+	if err := transfer.CheckTotal(n, s.exec.Environment.MaxChannels); err != nil {
+		return err
 	}
 	targets := make([]int, len(s.chunks))
-	used := 0
-	fracs := make([]cw, 0, len(live))
-	for _, i := range live {
-		w := s.chunks[i].plan.Weight
-		if totalWeight <= 0 {
-			w = 1.0 / float64(len(live))
-		} else {
-			w /= totalWeight
-		}
-		exact := float64(n) * w
-		targets[i] = int(exact)
-		used += targets[i]
-		fracs = append(fracs, cw{idx: i, frac: exact - float64(targets[i])})
-	}
-	sort.Slice(fracs, func(a, b int) bool { return fracs[a].frac > fracs[b].frac })
-	for k := 0; used < n; k++ {
-		targets[fracs[k%len(fracs)].idx]++
-		used++
+	if !transfer.SplitByWeight(targets, n, s.weight, s.queued) {
+		return nil
 	}
 	return s.reconcile(targets)
 }
 
 // SetAllocation implements transfer.Session.
 func (s *realSession) SetAllocation(channels []int) error {
-	if len(channels) != len(s.chunks) {
-		return fmt.Errorf("proto: allocation for %d chunks, plan has %d", len(channels), len(s.chunks))
-	}
-	total := 0
-	for i, n := range channels {
-		if n < 0 {
-			return fmt.Errorf("proto: chunk %d allocated %d channels", i, n)
-		}
-		total += n
-	}
-	if total == 0 {
-		return errors.New("proto: allocation has no channels")
+	if err := transfer.CheckAllocation(channels, len(s.chunks), s.exec.Environment.MaxChannels); err != nil {
+		return err
 	}
 	return s.reconcile(channels)
 }
-
-func (s *realSession) Environment() transfer.Environment { return s.exec.Environment }
 
 // Finish implements transfer.Session.
 func (s *realSession) Finish() (transfer.Report, error) {

@@ -279,17 +279,3 @@ func verifyDiskRange(f *os.File, off, n int64, crc uint32, buf []byte) bool {
 	}
 	return sum == crc
 }
-
-// ResumeRanges inspects a DirSink destination tree and plans the
-// minimal transfer completing it: files already at full size are
-// skipped, partial files resume from their current length, missing and
-// marked files fetch whole. It returns the ranges plus the byte count
-// already present (skipped work). Journal-aware callers use PlanResume
-// directly; this wrapper keeps the journal out of the loop.
-func ResumeRanges(root string, files []dataset.File) ([]FileRange, units.Bytes, error) {
-	plan, err := PlanResume(root, files, ResumeOptions{})
-	if err != nil {
-		return nil, 0, err
-	}
-	return plan.Ranges, plan.Skipped, nil
-}

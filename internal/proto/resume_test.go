@@ -39,12 +39,13 @@ func TestResumeRangesPlanning(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "partial.bin"), make([]byte, 80), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ranges, skipped, err := ResumeRanges(root, files)
+	plan, err := PlanResume(root, files, ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 180 { // 100 complete + 80 partial
-		t.Errorf("skipped = %v, want 180", skipped)
+	ranges := plan.Ranges
+	if plan.Skipped != 180 { // 100 complete + 80 partial
+		t.Errorf("skipped = %v, want 180", plan.Skipped)
 	}
 	if len(ranges) != 2 {
 		t.Fatalf("planned %d ranges, want 2", len(ranges))
@@ -64,7 +65,7 @@ func TestResumeRangesRejectsEscapes(t *testing.T) {
 		"a/../../evil",
 		"/abs/evil",
 	} {
-		if _, _, err := ResumeRanges(t.TempDir(), []dataset.File{{Name: name, Size: 1}}); err == nil {
+		if _, err := PlanResume(t.TempDir(), []dataset.File{{Name: name, Size: 1}}, ResumeOptions{}); err == nil {
 			t.Errorf("path escape %q accepted", name)
 		}
 	}
@@ -81,13 +82,14 @@ func TestResumeRangesAcceptsDotPrefixedNames(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "..config"), make([]byte, 40), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ranges, skipped, err := ResumeRanges(root, files)
+	plan, err := PlanResume(root, files, ResumeOptions{})
 	if err != nil {
 		t.Fatalf("dot-prefixed names rejected: %v", err)
 	}
-	if skipped != 40 {
-		t.Errorf("skipped = %v, want 40", skipped)
+	if plan.Skipped != 40 {
+		t.Errorf("skipped = %v, want 40", plan.Skipped)
 	}
+	ranges := plan.Ranges
 	if len(ranges) != 2 || ranges[0].File.Name != "..config" || ranges[0].Offset != 40 ||
 		ranges[1].File.Name != "..d/file.bin" || ranges[1].Offset != 0 {
 		t.Errorf("resume plan wrong: %+v", ranges)
@@ -112,12 +114,12 @@ func TestResumedTransferCompletesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges, skipped, err := ResumeRanges(dst, files)
+	plan, err := PlanResume(dst, files, ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 300_000 || len(ranges) != 1 || ranges[0].Offset != 300_000 {
-		t.Fatalf("resume plan wrong: skipped=%v ranges=%+v", skipped, ranges)
+	if plan.Skipped != 300_000 || len(plan.Ranges) != 1 || plan.Ranges[0].Offset != 300_000 {
+		t.Fatalf("resume plan wrong: skipped=%v ranges=%+v", plan.Skipped, plan.Ranges)
 	}
 
 	ch, err := client.OpenChannel(2)
@@ -126,7 +128,7 @@ func TestResumedTransferCompletesFile(t *testing.T) {
 	}
 	defer ch.Close()
 	sink := NewDirSink(dst)
-	res, err := ch.FetchRanges(ranges, 2, sink)
+	res, err := ch.FetchRanges(plan.Ranges, 2, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +147,9 @@ func TestResumedTransferCompletesFile(t *testing.T) {
 	}
 
 	// A second resume plan finds nothing left to do.
-	ranges, skipped, err = ResumeRanges(dst, files)
-	if err != nil || len(ranges) != 0 || skipped != 900_000 {
-		t.Errorf("post-completion plan: ranges=%v skipped=%v err=%v", ranges, skipped, err)
+	plan, err = PlanResume(dst, files, ResumeOptions{})
+	if err != nil || len(plan.Ranges) != 0 || plan.Skipped != 900_000 {
+		t.Errorf("post-completion plan: %+v err=%v", plan, err)
 	}
 }
 
@@ -175,15 +177,15 @@ func TestRealExecutorResume(t *testing.T) {
 	ds := dataset.NewGenerator(31).Uniform(8, 200*units.KB)
 	srv := synthServer(t, ds, nil)
 
-	offsets := map[string]units.Bytes{
+	resume := resumeFrom(t, ds.Files, map[string]units.Bytes{
 		ds.Files[0].Name: 200 * units.KB, // complete
 		ds.Files[1].Name: 50 * units.KB,  // partial
-	}
+	})
 	exec := &Executor{
-		Client:        &Client{Addr: srv.Addr(), Counters: &Counters{}, VerifyChecksums: true},
-		Sink:          NewVerifySink(),
-		Environment:   testEnv(),
-		ResumeOffsets: offsets,
+		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}, VerifyChecksums: true},
+		Sink:        NewVerifySink(),
+		Environment: testEnv(),
+		Resume:      resume,
 	}
 	plan := planFor(ds, 2, 1, 2)
 	r, err := exec.Run(nil, plan)
@@ -199,15 +201,15 @@ func TestRealExecutorResume(t *testing.T) {
 func TestRealExecutorFullyResumed(t *testing.T) {
 	ds := dataset.NewGenerator(32).Uniform(2, 10*units.KB)
 	srv := synthServer(t, ds, nil)
-	offsets := map[string]units.Bytes{
+	resume := resumeFrom(t, ds.Files, map[string]units.Bytes{
 		ds.Files[0].Name: 10 * units.KB,
 		ds.Files[1].Name: 10 * units.KB,
-	}
+	})
 	exec := &Executor{
-		Client:        &Client{Addr: srv.Addr(), Counters: &Counters{}},
-		Sink:          NewVerifySink(),
-		Environment:   testEnv(),
-		ResumeOffsets: offsets,
+		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}},
+		Sink:        NewVerifySink(),
+		Environment: testEnv(),
+		Resume:      resume,
 	}
 	r, err := exec.Run(nil, planFor(ds, 1, 1, 1))
 	if err != nil {
@@ -216,4 +218,25 @@ func TestRealExecutorFullyResumed(t *testing.T) {
 	if r.Bytes != 0 {
 		t.Errorf("fully-resumed run moved %v bytes", r.Bytes)
 	}
+}
+
+// resumeFrom plans the resume of files against a destination holding
+// the first have[name] bytes of each named file.
+func resumeFrom(t *testing.T, files []dataset.File, have map[string]units.Bytes) *RecoveryPlan {
+	t.Helper()
+	root := t.TempDir()
+	for name, n := range have {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, make([]byte, n), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := PlanResume(root, files, ResumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }

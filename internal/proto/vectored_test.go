@@ -393,14 +393,14 @@ func TestResumeRangesRefetchesMarkedPartial(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "interrupted.bin"+partialMarkerSuffix), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ranges, skipped, err := ResumeRanges(dir, files)
+	plan, err := PlanResume(dir, files, ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 1000 {
-		t.Errorf("skipped %v bytes, want 1000 (done.bin only)", skipped)
+	if plan.Skipped != 1000 {
+		t.Errorf("skipped %v bytes, want 1000 (done.bin only)", plan.Skipped)
 	}
-	if len(ranges) != 1 || ranges[0].File.Name != "interrupted.bin" || ranges[0].Offset != 0 {
+	if ranges := plan.Ranges; len(ranges) != 1 || ranges[0].File.Name != "interrupted.bin" || ranges[0].Offset != 0 {
 		t.Errorf("ranges = %+v, want whole refetch of interrupted.bin", ranges)
 	}
 }

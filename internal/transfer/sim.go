@@ -91,7 +91,7 @@ func (s *Sim) Start(ctx context.Context, plan Plan) (Session, error) {
 	}
 	for i := range plan.Chunks {
 		cp := plan.Chunks[i]
-		ch := &simChunk{plan: cp}
+		ch := &simChunk{plan: cp, idx: i}
 		for _, f := range cp.Chunk.Files {
 			ch.queue = append(ch.queue, float64(f.Size))
 			ch.bytesLeft += float64(f.Size)
@@ -99,19 +99,9 @@ func (s *Sim) Start(ctx context.Context, plan Plan) (Session, error) {
 		sess.chunks = append(sess.chunks, ch)
 		sess.total += cp.Chunk.TotalSize()
 	}
-	// Sequential mode starts with every channel on the first chunk;
-	// concurrent mode honours the per-chunk allocation.
-	if plan.Sequential {
-		alloc := make([]int, len(plan.Chunks))
-		alloc[0] = plan.TotalChannels()
-		sess.applyAllocation(alloc)
-	} else {
-		alloc := make([]int, len(plan.Chunks))
-		for i, c := range plan.Chunks {
-			alloc[i] = c.Channels
-		}
-		sess.applyAllocation(alloc)
-	}
+	alloc := make([]int, len(plan.Chunks))
+	Placement(alloc, plan, sess.queued)
+	sess.applyAllocation(alloc)
 	return sess, nil
 }
 
@@ -134,6 +124,7 @@ func chainEnergyPerByte(s *Sim) float64 {
 // onto partials and drained first.
 type simChunk struct {
 	plan        ChunkPlan
+	idx         int // position in the plan
 	queue       []float64
 	head        int
 	partials    []float64
@@ -224,81 +215,37 @@ func (s *simSession) Remaining() units.Bytes {
 	return units.Bytes(r)
 }
 
-// SetTotalChannels implements Session: weight-proportional distribution
-// of n channels over the chunks that still have work (Algorithm 2 line
-// 12: channelAllocation[i] = ⌊maxChannel · weights[i]⌋, with the
-// remainder going to the heaviest chunks so all n channels are used).
+// SetTotalChannels implements Session: SplitByWeight over the chunks
+// that still have queued files or in-flight bytes.
 func (s *simSession) SetTotalChannels(n int) error {
-	if n < 1 {
-		return fmt.Errorf("transfer: total channels %d < 1", n)
-	}
-	if env := s.sim.Env(); env.MaxChannels > 0 && n > env.MaxChannels {
-		return fmt.Errorf("transfer: total channels %d exceeds budget %d", n, env.MaxChannels)
-	}
-	type cw struct {
-		idx  int
-		frac float64
-	}
-	var totalWeight float64
-	live := make([]int, 0, len(s.chunks))
-	for i, c := range s.chunks {
-		if s.chunkRemaining(c) {
-			live = append(live, i)
-			totalWeight += c.plan.Weight
-		}
-	}
-	if len(live) == 0 {
-		return nil
+	if err := CheckTotal(n, s.sim.Env().MaxChannels); err != nil {
+		return err
 	}
 	alloc := make([]int, len(s.chunks))
-	used := 0
-	fracs := make([]cw, 0, len(live))
-	for _, i := range live {
-		w := s.chunks[i].plan.Weight
-		if totalWeight <= 0 {
-			w = 1.0 / float64(len(live)) // unweighted plans share equally
-		} else {
-			w /= totalWeight
-		}
-		exact := float64(n) * w
-		alloc[i] = int(exact)
-		used += alloc[i]
-		fracs = append(fracs, cw{idx: i, frac: exact - float64(alloc[i])})
+	if SplitByWeight(alloc, n, s.weight, s.live) {
+		s.applyAllocation(alloc)
 	}
-	sort.Slice(fracs, func(a, b int) bool { return fracs[a].frac > fracs[b].frac })
-	for k := 0; used < n; k++ {
-		alloc[fracs[k%len(fracs)].idx]++
-		used++
-	}
-	s.applyAllocation(alloc)
 	return nil
 }
 
 // SetAllocation implements Session.
 func (s *simSession) SetAllocation(channels []int) error {
-	if len(channels) != len(s.chunks) {
-		return fmt.Errorf("transfer: allocation for %d chunks, plan has %d", len(channels), len(s.chunks))
-	}
-	total := 0
-	for i, n := range channels {
-		if n < 0 {
-			return fmt.Errorf("transfer: chunk %d allocated %d channels", i, n)
-		}
-		total += n
-	}
-	if total == 0 {
-		return errors.New("transfer: allocation has no channels")
-	}
-	if env := s.sim.Env(); env.MaxChannels > 0 && total > env.MaxChannels {
-		return fmt.Errorf("transfer: allocation of %d channels exceeds budget %d", total, env.MaxChannels)
+	if err := CheckAllocation(channels, len(s.chunks), s.sim.Env().MaxChannels); err != nil {
+		return err
 	}
 	s.applyAllocation(channels)
 	return nil
 }
 
-// chunkRemaining reports whether the chunk still has queued files or
-// in-flight bytes.
-func (s *simSession) chunkRemaining(c *simChunk) bool { return c.bytesLeft > 0 }
+// weight, live, queued and bytesLeft are the per-chunk inputs of the
+// allocation rules (alloc.go).
+func (s *simSession) weight(i int) float64 { return s.chunks[i].plan.Weight }
+
+func (s *simSession) live(i int) bool { return s.chunks[i].bytesLeft > 0 }
+
+func (s *simSession) queued(i int) bool { return s.chunks[i].hasQueuedFiles() }
+
+func (s *simSession) bytesLeft(i int) float64 { return s.chunks[i].bytesLeft }
 
 // applyAllocation reshapes the channel set to match the target per
 // chunk. Surplus channels return their in-progress file to the chunk;
@@ -306,8 +253,7 @@ func (s *simSession) chunkRemaining(c *simChunk) bool { return c.bytesLeft > 0 }
 func (s *simSession) applyAllocation(target []int) {
 	current := make([][]*simChannel, len(s.chunks))
 	for _, ch := range s.channels {
-		idx := s.chunkIndex(ch.chunk)
-		current[idx] = append(current[idx], ch)
+		current[ch.chunk.idx] = append(current[ch.chunk.idx], ch)
 	}
 	var next []*simChannel
 	for i, c := range s.chunks {
@@ -330,32 +276,16 @@ func (s *simSession) applyAllocation(target []int) {
 	s.channels = next
 }
 
-func (s *simSession) chunkIndex(c *simChunk) int {
-	for i := range s.chunks {
-		if s.chunks[i] == c {
-			return i
-		}
-	}
-	panic("transfer: channel references unknown chunk")
-}
-
 func (s *simSession) newChannel(c *simChunk) *simChannel {
 	ch := &simChannel{
 		chunk:    c,
-		coldLeft: float64(s.sim.TB.Path.SlowStartBytes()) * float64(maxInt(1, c.plan.Parallelism())),
+		coldLeft: float64(s.sim.TB.Path.SlowStartBytes()) * float64(c.plan.Parallelism()),
 	}
 	if s.plan.SpreadServers {
-		ch.serverIdx = s.nextSrv % maxInt(1, s.sim.Env().ServersPerSite)
+		ch.serverIdx = s.nextSrv % max(1, s.sim.Env().ServersPerSite)
 		s.nextSrv++
 	}
 	return ch
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Advance implements Session.
@@ -501,54 +431,32 @@ func (s *simSession) step(dt time.Duration) {
 	s.now += dt
 }
 
-// assignFiles hands queued files to idle channels and reallocates
-// channels whose chunk has drained.
+// assignFiles hands queued files to idle channels.
 func (s *simSession) assignFiles() {
 	for _, ch := range s.channels {
-		if ch.hasFile || ch.gap > 0 {
-			continue
-		}
-		if f, ok := ch.chunk.popFile(); ok {
-			ch.hasFile = true
-			ch.fileLeft = f
-			continue
-		}
-		// Chunk drained: move the channel elsewhere if policy allows.
-		if next := s.nextChunkFor(ch); next != nil {
-			ch.chunk = next
-			if f, ok := next.popFile(); ok {
-				ch.hasFile = true
-				ch.fileLeft = f
-			}
+		if !ch.hasFile && ch.gap <= 0 {
+			s.takeFile(ch)
 		}
 	}
 }
 
-// nextChunkFor picks the chunk a drained channel should move to, or nil
-// to retire the channel.
-func (s *simSession) nextChunkFor(ch *simChannel) *simChunk {
-	if s.plan.Sequential {
-		// Chunks run in plan order; help the next one with work.
-		for _, c := range s.chunks {
-			if c != ch.chunk && c.hasQueuedFiles() {
-				return c
-			}
+// takeFile gives an idle channel its chunk's next file. A channel whose
+// chunk has drained first moves to the chunk NextChunk picks, if any;
+// otherwise it stays idle and retires.
+func (s *simSession) takeFile(ch *simChannel) {
+	f, ok := ch.chunk.popFile()
+	if !ok {
+		next := NextChunk(s.plan, ch.chunk.idx, s.queued, s.bytesLeft)
+		if next < 0 {
+			return
 		}
-		return nil
-	}
-	if !s.plan.ReallocOnComplete {
-		return nil
-	}
-	var best *simChunk
-	for _, c := range s.chunks {
-		if c == ch.chunk || !c.plan.AcceptRealloc || !c.hasQueuedFiles() {
-			continue
-		}
-		if best == nil || c.bytesLeft > best.bytesLeft {
-			best = c
+		ch.chunk = s.chunks[next]
+		if f, ok = ch.chunk.popFile(); !ok {
+			return
 		}
 	}
-	return best
+	ch.hasFile = true
+	ch.fileLeft = f
 }
 
 // channelLive reports whether a channel is still part of the transfer
@@ -596,16 +504,7 @@ func (s *simSession) advanceChannel(ch *simChannel, dt time.Duration) {
 			// The channel idled at a chunk boundary; it may pick up a
 			// file now.
 			if !ch.hasFile {
-				if f, ok := ch.chunk.popFile(); ok {
-					ch.hasFile = true
-					ch.fileLeft = f
-				} else if next := s.nextChunkFor(ch); next != nil {
-					ch.chunk = next
-					if f, ok := next.popFile(); ok {
-						ch.hasFile = true
-						ch.fileLeft = f
-					}
-				}
+				s.takeFile(ch)
 			}
 			continue
 		}
