@@ -120,18 +120,22 @@ func main() {
 		log.Fatal("xferd: one of -root or -synth is required")
 	}
 
+	// Graceful drain: the first signal refuses new sessions and lets the
+	// in-flight ones finish under -drain-timeout; a second signal at ANY
+	// point — including while Drain/Close is still running — force-exits
+	// immediately instead of being swallowed by a blocked shutdown. The
+	// handler is installed before the listen address is announced, so a
+	// signal sent as soon as the address is known never takes the
+	// default kill path.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	srv, err := proto.ListenAndServe(*addr, cfg)
 	if err != nil {
 		log.Fatalf("xferd: %v", err)
 	}
 	log.Printf("xferd: listening on %s", srv.Addr())
 
-	// Graceful drain: the first signal refuses new sessions and lets the
-	// in-flight ones finish under -drain-timeout; a second signal at ANY
-	// point — including while Drain/Close is still running — force-exits
-	// immediately instead of being swallowed by a blocked shutdown.
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	first := <-sig
 	log.Printf("xferd: %v: draining (waiting up to %v for in-flight sessions; signal again to force exit)", first, *drainTimeout)
 	drained := make(chan error, 1)

@@ -15,95 +15,61 @@ var ErrChecksumMismatch = errors.New("proto: checksum mismatch")
 // CRC-32C over each file as it reads it sequentially; the client
 // receives the file as out-of-order blocks across parallel streams, so
 // it cannot feed a single running hash. Instead it hashes each block
-// independently and merges the results with the standard GF(2)
-// matrix-based crc32_combine construction (as in zlib): appending m
-// bytes to a message multiplies its CRC state by the m-th power of the
-// "advance one zero byte" linear operator.
+// independently and merges the results the way zlib's crc32_combine
+// does since 1.2.12: appending n bytes to a message multiplies its CRC
+// by x^(8n) modulo the polynomial, and that power is assembled from a
+// table of x^(2^k) in O(log n) carry-less multiplies.
 
 // crc32Poly is the reflected Castagnoli polynomial, matching
 // crc32.MakeTable(crc32.Castagnoli).
 const crc32Poly = 0x82F63B78
 
-// gf2MatrixTimes multiplies the GF(2) matrix by the vector.
-func gf2MatrixTimes(mat *crc32Op, vec uint32) uint32 {
-	var sum uint32
-	for i := 0; vec != 0; i++ {
-		if vec&1 != 0 {
-			sum ^= mat[i]
+// multModP returns a·b modulo the polynomial. Both operands are in the
+// reflected representation, where bit 31 is x^0.
+func multModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; a != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			a ^= m
 		}
-		vec >>= 1
-	}
-	return sum
-}
-
-// gf2MatrixSquare sets square = mat².
-func gf2MatrixSquare(square, mat *crc32Op) {
-	for i := range mat {
-		square[i] = gf2MatrixTimes(mat, mat[i])
-	}
-}
-
-// crc32Op is the precomputed GF(2) operator that advances a CRC-32C
-// state across a fixed number of zero bytes. Building one costs
-// O(log n) matrix squarings; applying it is a single matrix-vector
-// multiply (~32 XORs), so hot paths that combine many equal-length
-// blocks — the server's block-tiled serve loop — pay the expensive
-// part once per length instead of once per block.
-type crc32Op [32]uint32
-
-// makeCRC32Op builds the advance-n-zero-bytes operator. n must be
-// positive.
-func makeCRC32Op(n int64) crc32Op {
-	var even, odd crc32Op
-
-	// odd = operator for one zero bit.
-	odd[0] = crc32Poly
-	row := uint32(1)
-	for i := 1; i < 32; i++ {
-		odd[i] = row
-		row <<= 1
-	}
-	// even = operator for two zero bits; odd := four, and so on.
-	gf2MatrixSquare(&even, &odd)
-	gf2MatrixSquare(&odd, &even)
-
-	// out accumulates the product of the squarings selected by n's
-	// bits, starting from the identity.
-	var out crc32Op
-	for i := range out {
-		out[i] = 1 << i
-	}
-	cur, next := &odd, &even
-	for ; n > 0; n >>= 1 {
-		gf2MatrixSquare(next, cur)
-		cur, next = next, cur
-		if n&1 != 0 {
-			var prod crc32Op
-			for i := range prod {
-				prod[i] = gf2MatrixTimes(cur, out[i])
-			}
-			out = prod
+		if b&1 != 0 {
+			b = b>>1 ^ crc32Poly
+		} else {
+			b >>= 1
 		}
 	}
-	return out
+	return p
 }
 
-// combine returns the CRC of A‖B given crc(A), crc(B), where the
-// operator was built for len(B).
-func (op *crc32Op) combine(crc1, crc2 uint32) uint32 {
-	return gf2MatrixTimes(op, crc1) ^ crc2
-}
+// x2nTable[k] is x^(2^k) modulo the polynomial. The Castagnoli
+// polynomial gives x^(2^31) = x, so the powers repeat with period 31
+// (not zlib's 32, which holds only for its own polynomial).
+var x2nTable = func() (t [31]uint32) {
+	p := uint32(1) << 30 // x^1
+	for k := range t {
+		t[k] = p
+		p = multModP(p, p)
+	}
+	return t
+}()
 
 // CRC32CCombine returns the CRC-32C of the concatenation A‖B given
-// crc(A), crc(B) and len(B). It runs in O(log len2) matrix operations;
-// callers combining many blocks of one length should build the
-// operator once with makeCRC32Op and apply it per block instead.
+// crc(A), crc(B) and len(B), in O(log len2) multiplies.
 func CRC32CCombine(crc1, crc2 uint32, len2 int64) uint32 {
 	if len2 <= 0 {
 		return crc1
 	}
-	op := makeCRC32Op(len2)
-	return op.combine(crc1, crc2)
+	// x^(8·len2) = the product of x^(2^k) over the set bits k of
+	// len2<<3.
+	xn := uint32(1) << 31 // x^0
+	for k := 3; len2 > 0; k++ {
+		if len2&1 != 0 {
+			xn = multModP(x2nTable[k%len(x2nTable)], xn)
+		}
+		len2 >>= 1
+	}
+	return multModP(xn, crc1) ^ crc2
 }
 
 // blockCRC is one received block's integrity record.
@@ -120,11 +86,6 @@ func combineBlocks(blocks []blockCRC, total int64) (uint32, bool) {
 	sortBlocks(blocks)
 	var crc uint32
 	var pos int64
-	// Striped transfers produce runs of equal-length blocks, so the
-	// advance operator is rebuilt only when the length changes (in
-	// practice: once, plus once for the file's tail block).
-	var op crc32Op
-	opLen := int64(-1)
 	for _, b := range blocks {
 		if b.n == 0 {
 			continue // contributes nothing and tiles nowhere
@@ -132,11 +93,7 @@ func combineBlocks(blocks []blockCRC, total int64) (uint32, bool) {
 		if b.off != pos {
 			return 0, false
 		}
-		if b.n != opLen {
-			op = makeCRC32Op(b.n)
-			opLen = b.n
-		}
-		crc = op.combine(crc, b.crc)
+		crc = CRC32CCombine(crc, b.crc, b.n)
 		pos += b.n
 	}
 	return crc, pos == total

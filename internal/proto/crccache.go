@@ -7,8 +7,8 @@ import "sync"
 // identity (size + mtime from the store's Versioner extension). The
 // serve loop must read payload bytes regardless, but on a repeat serve
 // of an unchanged file it skips re-hashing them — the cached tile CRCs
-// are combined into the whole-range checksum with the precomputed
-// advance operator instead. Tiles are the same shape the client's
+// are combined into the whole-range checksum with CRC32CCombine
+// instead. Tiles are the same shape the client's
 // combineBlocks works in, so the cached sidecar and the client-side
 // verification agree by construction.
 //

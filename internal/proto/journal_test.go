@@ -216,7 +216,7 @@ func markPartial(t *testing.T, root string, f dataset.File, spans [][2]int64) []
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path+partialMarkerSuffix, nil, 0o644); err != nil {
+	if err := os.WriteFile(path+PartialMarkerSuffix, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return crcs
@@ -305,7 +305,7 @@ func TestPlanResumeLiftsMarkerWhenFullyVerified(t *testing.T) {
 	if len(plan.Ranges) != 0 || plan.Verified != f.Size {
 		t.Errorf("fully-journaled file still plans work: %+v", plan)
 	}
-	marker := filepath.Join(root, f.Name+partialMarkerSuffix)
+	marker := filepath.Join(root, f.Name+PartialMarkerSuffix)
 	if _, err := os.Stat(marker); !os.IsNotExist(err) {
 		t.Errorf("marker not lifted after full verification (stat err: %v)", err)
 	}

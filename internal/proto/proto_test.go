@@ -297,6 +297,9 @@ func TestDirStoreAndDirSinkRoundTrip(t *testing.T) {
 		"a.bin":       bytes.Repeat([]byte{0xAB}, 1000),
 		"sub/b.bin":   []byte("hello transfer world"),
 		"sub/c empty": {},
+		// Names that start with two dots are not ".." path elements.
+		"..config": []byte("dotdot"),
+		"sub/..rc": []byte("nested dotdot"),
 	}
 	for name, content := range want {
 		path := filepath.Join(srcDir, filepath.FromSlash(name))
@@ -336,21 +339,29 @@ func TestDirStoreAndDirSinkRoundTrip(t *testing.T) {
 	}
 }
 
+// escapingNames leave the root after cleaning: store and sink share
+// one rule for them.
+var escapingNames = []string{"../etc/passwd", "a/../../b", "/etc/passwd", ".."}
+
 func TestDirStorePathEscapeRejected(t *testing.T) {
 	s := DirStore{Root: t.TempDir()}
 	buf := make([]byte, 10)
-	if _, err := s.ReadAt("../etc/passwd", buf, 0); err == nil {
-		t.Error("path escape accepted")
-	}
-	if _, err := s.ReadAt("/etc/passwd", buf, 0); err == nil {
-		t.Error("absolute path accepted")
+	for _, name := range escapingNames {
+		if _, err := s.ReadAt(name, buf, 0); err == nil {
+			t.Errorf("ReadAt(%q) accepted", name)
+		}
+		if _, _, ok := s.Version(name); ok {
+			t.Errorf("Version(%q) accepted", name)
+		}
 	}
 }
 
 func TestDirSinkPathEscapeRejected(t *testing.T) {
 	s := NewDirSink(t.TempDir())
-	if _, err := s.WriteAt("../evil", []byte("x"), 0); err == nil {
-		t.Error("sink path escape accepted")
+	for _, name := range escapingNames {
+		if _, err := s.WriteAt(name, []byte("x"), 0); err == nil {
+			t.Errorf("WriteAt(%q) accepted", name)
+		}
 	}
 }
 

@@ -1,12 +1,9 @@
 package proto
 
 import (
-	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/obs"
@@ -81,17 +78,6 @@ type RecoveryPlan struct {
 	JournalTorn bool
 }
 
-// destFilePath confines name to the destination root, rejecting only a
-// leading ".." *path element*; a name that merely starts with two dots
-// ("..config") is legitimate.
-func destFilePath(root, name string) (string, error) {
-	clean := filepath.Clean(filepath.FromSlash(name))
-	if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) || filepath.IsAbs(clean) {
-		return "", fmt.Errorf("proto: path %q escapes destination root", name)
-	}
-	return filepath.Join(root, clean), nil
-}
-
 // PlanResume inspects a DirSink destination tree and plans the minimal
 // transfer completing it. Files already at full size are skipped,
 // unmarked partial files resume from their current length, and missing
@@ -109,11 +95,11 @@ func PlanResume(root string, files []dataset.File, opt ResumeOptions) (*Recovery
 	}
 	plan := &RecoveryPlan{ByFile: make(map[string][]FileRange), JournalTorn: torn}
 	for _, f := range files {
-		path, err := destFilePath(root, f.Name)
+		path, err := rootedPath(root, f.Name)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := os.Stat(path + partialMarkerSuffix); err == nil {
+		if _, err := os.Stat(path + PartialMarkerSuffix); err == nil {
 			// Preallocated but unfinished: the length lies. Recover what
 			// the journal can prove, refetch the gaps.
 			verified, gaps := recoverMarked(path, f, receipts[f.Name])
@@ -121,7 +107,7 @@ func PlanResume(root string, files []dataset.File, opt ResumeOptions) (*Recovery
 			if len(gaps) == 0 {
 				// Every byte re-hashed clean: the file is complete, the
 				// marker just outlived the crash. Lift it.
-				if err := os.Remove(path + partialMarkerSuffix); err != nil && !os.IsNotExist(err) {
+				if err := os.Remove(path + PartialMarkerSuffix); err != nil && !os.IsNotExist(err) {
 					return nil, err
 				}
 				continue

@@ -104,11 +104,8 @@ type Server struct {
 	inst serverInstruments
 
 	// crcSidecars caches per-file block CRCs across serves; nil when the
-	// cache is disabled. blockOp is the precomputed CRC advance operator
-	// for one full block, shared by every serve at the configured block
-	// size.
+	// cache is disabled.
 	crcSidecars *crcCache
-	blockOp     crc32Op
 
 	bytesServed   atomic.Int64
 	requestsDone  atomic.Int64
@@ -184,7 +181,6 @@ func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 			crcCacheHits:     cfg.Metrics.Counter("server_crc_cache_hits"),
 			crcCacheMisses:   cfg.Metrics.Counter("server_crc_cache_misses"),
 		},
-		blockOp: makeCRC32Op(int64(cfg.blockSize())),
 	}
 	if !cfg.DisableCRCCache {
 		s.crcSidecars = newCRCCache(0)
@@ -292,7 +288,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// A peer that connects and never finishes the one-line handshake
 	// (or never drains our one-line reply) would otherwise pin this
 	// goroutine forever — before classification there is no session,
-	// so no watchdog or deadlineWriter covers the conn yet.
+	// so no watchdog or write deadline covers the conn yet.
 	if t := s.cfg.StallTimeout; t > 0 {
 		_ = conn.SetDeadline(time.Now().Add(t))
 	}
@@ -676,15 +672,10 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 			ssp := gsp.Child(span.NameServerStream, "stream", i)
 			defer ssp.End()
 			perStream := NewLimiter(sess.srv.cfg.PerStreamRate)
-			var dst io.Writer = streams[i]
-			if t := sess.srv.cfg.StallTimeout; t > 0 {
-				dst = &deadlineWriter{conn: streams[i], timeout: t}
-			}
-			w := shapedWriter{w: dst, limiters: []*Limiter{perStream, sess.srv.link}}
 			headers := make([]byte, maxBatch*blockHeaderSize)
 			batch := make([]queuedBlock, 0, maxBatch)
 			// scratch is the stable backing for each batch's vector;
-			// bufs is the consumable header copy handed to WriteBuffers
+			// bufs is the consumable header copy handed to writeBatch
 			// (the write advances it, leaving scratch's capacity intact).
 			scratch := make(net.Buffers, 0, 2*maxBatch)
 			var bufs net.Buffers
@@ -699,7 +690,8 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 						scratch = append(scratch, h, *b.buf)
 					}
 					bufs = scratch
-					if n, err := w.WriteBuffers(&bufs); err != nil {
+					n, err := writeBatch(streams[i], &bufs, perStream, sess.srv.link, sess.srv.cfg.StallTimeout)
+					if err != nil {
 						errs[i] = err
 					} else {
 						sess.srv.inst.writevBatches.Inc()
@@ -717,11 +709,11 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 		}(i)
 	}
 
-	// The whole-range CRC is built by combining per-block CRCs with the
-	// precomputed advance operator. When the store can vouch for the
-	// file's identity and the range is block-aligned, block CRCs come
-	// from (and feed) the sidecar cache, so repeat serves of an
-	// unchanged file skip the hash pass over payload bytes.
+	// The whole-range CRC is built by combining per-block CRCs with
+	// CRC32CCombine. When the store can vouch for the file's identity
+	// and the range is block-aligned, block CRCs come from (and feed)
+	// the sidecar cache, so repeat serves of an unchanged file skip the
+	// hash pass over payload bytes.
 	var sidecar *crcSidecar
 	if sess.srv.crcSidecars != nil && req.Offset%int64(blockSize) == 0 {
 		if v, ok := sess.srv.cfg.Store.(Versioner); ok {
@@ -731,8 +723,6 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 		}
 	}
 	var crcState uint32
-	var tailOp crc32Op
-	tailLen := int64(-1)
 	var readErr error
 	offset := req.Offset
 	remaining := req.Length
@@ -765,15 +755,7 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 				sess.srv.inst.crcCacheMisses.Inc()
 			}
 		}
-		if n == int64(blockSize) {
-			crcState = sess.srv.blockOp.combine(crcState, bcrc)
-		} else {
-			if n != tailLen {
-				tailOp = makeCRC32Op(n)
-				tailLen = n
-			}
-			crcState = tailOp.combine(crcState, bcrc)
-		}
+		crcState = CRC32CCombine(crcState, bcrc, n)
 		queues[blockIdx%len(queues)] <- queuedBlock{
 			header: blockHeader{ReqID: req.ID, Offset: uint64(offset), Length: uint32(n)},
 			buf:    bufp,
@@ -801,29 +783,29 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	return nil
 }
 
-// deadlineWriter arms a rolling write deadline before every Write so a
-// peer that stops draining the socket produces a timeout error instead
-// of parking the writer goroutine forever.
-type deadlineWriter struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (d *deadlineWriter) Write(p []byte) (int, error) {
-	if err := d.conn.SetWriteDeadline(time.Now().Add(d.timeout)); err != nil {
-		return 0, err
+// writeBatch sends one batch of framed blocks to a data stream as a
+// single vectored write: net.Buffers reaches a TCP connection as one
+// writev. The batch total is first admitted through both limiters (nil
+// means unlimited), which pace it in burst-sized installments exactly
+// as they would a flat write of the same size. A positive timeout arms
+// a rolling write deadline, so a peer that stops draining the socket
+// turns into a timeout error instead of parking the writer forever.
+// The write consumes bufs; callers keep a separate backing slice and
+// pass a pointer to a consumable copy of its header, which keeps the
+// call free of heap escapes.
+func writeBatch(conn net.Conn, bufs *net.Buffers, stream, link *Limiter, timeout time.Duration) (int64, error) {
+	var total int
+	for _, b := range *bufs {
+		total += len(b)
 	}
-	return d.conn.Write(p)
-}
-
-// WriteBuffers implements buffersWriter: the vectored write reaches the
-// connection as net.Buffers (a single writev on TCP) under the same
-// rolling deadline as Write.
-func (d *deadlineWriter) WriteBuffers(bufs *net.Buffers) (int64, error) {
-	if err := d.conn.SetWriteDeadline(time.Now().Add(d.timeout)); err != nil {
-		return 0, err
+	stream.Wait(total)
+	link.Wait(total)
+	if timeout > 0 {
+		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
+			return 0, err
+		}
 	}
-	return bufs.WriteTo(d.conn)
+	return bufs.WriteTo(conn)
 }
 
 func (sess *serverSession) close() {

@@ -1,8 +1,6 @@
 package proto
 
 import (
-	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -73,61 +71,6 @@ func (l *Limiter) waitFor(n float64) {
 	if wait > 0 {
 		l.sleep(wait)
 	}
-}
-
-// shapedWriter throttles writes through every attached limiter.
-type shapedWriter struct {
-	w        io.Writer
-	limiters []*Limiter
-}
-
-func (s shapedWriter) Write(p []byte) (int, error) {
-	for _, l := range s.limiters {
-		l.Wait(len(p))
-	}
-	return s.w.Write(p)
-}
-
-// buffersWriter is the vectored-write seam of the data plane: writers
-// that can forward a whole net.Buffers to the socket in one call (a
-// single writev on a *net.TCPConn) implement it, so the block
-// header+payload frames the server assembles are never flattened into
-// separate write syscalls by an intermediate wrapper.
-// The pointer parameter mirrors (*net.Buffers).WriteTo: the write
-// consumes the slice (advancing it past written buffers), and passing
-// the pointer down the chain keeps the hot path free of per-call heap
-// escapes. Callers keep a separate backing slice and hand in a
-// consumable copy of its header.
-type buffersWriter interface {
-	WriteBuffers(bufs *net.Buffers) (int64, error)
-}
-
-// WriteBuffers passes a vectored write through the limiters without
-// flattening it. Pacing stays byte-level: Limiter.Wait admits the total
-// in burst-sized installments exactly as it does for a plain Write of
-// the same size, and only once the whole batch has been admitted does
-// the write go down the chain as one vectored call.
-func (s shapedWriter) WriteBuffers(bufs *net.Buffers) (int64, error) {
-	var total int
-	for _, b := range *bufs {
-		total += len(b)
-	}
-	for _, l := range s.limiters {
-		l.Wait(total)
-	}
-	return writeBuffers(s.w, bufs)
-}
-
-// writeBuffers hands bufs down the writer chain: wrappers that support
-// vectored writes get the whole batch, and the terminal net.Conn
-// receives it via net.Buffers.WriteTo — one writev syscall on TCP.
-// Plain writers fall back to one Write per buffer, which is still
-// correct, just not coalesced.
-func writeBuffers(w io.Writer, bufs *net.Buffers) (int64, error) {
-	if bw, ok := w.(buffersWriter); ok {
-		return bw.WriteBuffers(bufs)
-	}
-	return bufs.WriteTo(w)
 }
 
 // delayQueue delivers items a fixed delay after they are pushed,

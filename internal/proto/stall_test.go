@@ -195,16 +195,16 @@ func TestFetchHangsWithoutWatchdog(t *testing.T) {
 	}
 }
 
-// TestDeadlineWriterTimesOut exercises the server-side write watchdog:
-// a peer that stops reading must turn the write into an error instead
-// of blocking the session forever.
+// TestDeadlineWriterTimesOut exercises the server-side write watchdog
+// in writeBatch: a peer that stops reading must turn the write into an
+// error instead of blocking the session forever.
 func TestDeadlineWriterTimesOut(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	w := &deadlineWriter{conn: c1, timeout: 100 * time.Millisecond}
 	start := time.Now()
-	_, err := w.Write(make([]byte, 64))
+	bufs := net.Buffers{make([]byte, 64)}
+	_, err := writeBatch(c1, &bufs, nil, nil, 100*time.Millisecond)
 	if err == nil {
 		t.Fatal("write to a never-reading peer succeeded")
 	}
@@ -232,9 +232,9 @@ func TestDeadlineWriterRollsForward(t *testing.T) {
 			time.Sleep(30 * time.Millisecond) // slower than one write, faster than the timeout
 		}
 	}()
-	w := &deadlineWriter{conn: c1, timeout: 200 * time.Millisecond}
 	for i := 0; i < 5; i++ {
-		if _, err := w.Write(make([]byte, 16)); err != nil {
+		bufs := net.Buffers{make([]byte, 16)}
+		if _, err := writeBatch(c1, &bufs, nil, nil, 200*time.Millisecond); err != nil {
 			t.Fatalf("write %d through a slow reader failed: %v", i, err)
 		}
 	}

@@ -70,13 +70,25 @@ func (s DirStore) List() ([]dataset.File, error) {
 	return files, nil
 }
 
+// rootedPath confines a slash-separated file name to root: the one
+// path rule for DirStore, DirSink and PlanResume. It rejects absolute
+// names and a leading ".." *path element* after cleaning; a name that
+// merely starts with two dots ("..config") is legitimate.
+func rootedPath(root, name string) (string, error) {
+	clean := filepath.Clean(filepath.FromSlash(name))
+	if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) || filepath.IsAbs(clean) {
+		return "", fmt.Errorf("proto: path %q escapes its root", name)
+	}
+	return filepath.Join(root, clean), nil
+}
+
 // ReadAt implements Store. Paths are confined to the root.
 func (s DirStore) ReadAt(name string, p []byte, off int64) (int, error) {
-	clean := filepath.Clean(filepath.FromSlash(name))
-	if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
-		return 0, fmt.Errorf("proto: path %q escapes store root", name)
+	path, err := rootedPath(s.Root, name)
+	if err != nil {
+		return 0, err
 	}
-	f, err := os.Open(filepath.Join(s.Root, clean))
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
@@ -90,11 +102,11 @@ func (s DirStore) ReadAt(name string, p []byte, off int64) (int, error) {
 // mtime-keyed cache (rsync, make, build systems) carries, and the
 // client's end-to-end checksum still catches a stale answer.
 func (s DirStore) Version(name string) (int64, int64, bool) {
-	clean := filepath.Clean(filepath.FromSlash(name))
-	if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
+	path, err := rootedPath(s.Root, name)
+	if err != nil {
 		return 0, 0, false
 	}
-	info, err := os.Stat(filepath.Join(s.Root, clean))
+	info, err := os.Stat(path)
 	if err != nil || info.IsDir() {
 		return 0, 0, false
 	}
@@ -233,16 +245,15 @@ func NewDirSink(dir string) *DirSink {
 }
 
 func (s *DirSink) file(name string) (*os.File, error) {
-	clean := filepath.Clean(filepath.FromSlash(name))
-	if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
-		return nil, fmt.Errorf("proto: path %q escapes sink root", name)
+	path, err := rootedPath(s.Root, name)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f, ok := s.open[name]; ok {
 		return f, nil
 	}
-	path := filepath.Join(s.Root, clean)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
@@ -272,9 +283,6 @@ func (s *DirSink) WriteAt(name string, p []byte, off int64) (int, error) {
 // trusting its length.
 const PartialMarkerSuffix = ".eta-partial"
 
-// partialMarkerSuffix is the internal alias predating the export.
-const partialMarkerSuffix = PartialMarkerSuffix
-
 // Preallocate implements Preallocator: it sizes the destination file
 // with one Truncate before the first WriteAt, dropping a partial marker
 // until Close declares the content complete.
@@ -287,7 +295,7 @@ func (s *DirSink) Preallocate(name string, size int64) error {
 	if err != nil {
 		return err
 	}
-	marker, err := os.Create(f.Name() + partialMarkerSuffix)
+	marker, err := os.Create(f.Name() + PartialMarkerSuffix)
 	if err != nil {
 		return err
 	}
@@ -324,7 +332,7 @@ func (s *DirSink) Close(name string) error {
 			return err
 		}
 	}
-	if err := os.Remove(f.Name() + partialMarkerSuffix); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(f.Name() + PartialMarkerSuffix); err != nil && !os.IsNotExist(err) {
 		f.Close()
 		return err
 	}

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -13,89 +14,117 @@ import (
 	"github.com/didclab/eta/internal/units"
 )
 
-// recordingVectorWriter counts how the bytes arrive: vectored batches
-// versus flat Writes.
-type recordingVectorWriter struct {
-	buf          bytes.Buffer
-	vectorCalls  int
-	vectorBufs   int
-	writeCalls   int
-	failVectored bool
-}
-
-func (r *recordingVectorWriter) Write(p []byte) (int, error) {
-	r.writeCalls++
-	return r.buf.Write(p)
-}
-
-func (r *recordingVectorWriter) WriteBuffers(bufs *net.Buffers) (int64, error) {
-	r.vectorCalls++
-	r.vectorBufs += len(*bufs)
-	var total int64
-	for _, b := range *bufs {
-		n, _ := r.buf.Write(b)
-		total += int64(n)
-	}
-	*bufs = (*bufs)[len(*bufs):]
-	return total, nil
-}
-
-func TestShapedWriterVectoredPassThrough(t *testing.T) {
-	// An inner writer that understands vectored writes must receive the
-	// buffers as one batch, not flattened into per-buffer Writes.
-	inner := &recordingVectorWriter{}
-	w := shapedWriter{w: inner, limiters: []*Limiter{NewLimiter(0), nil}}
-	bufs := net.Buffers{[]byte("head"), []byte("er+"), []byte("payload")}
-	n, err := w.WriteBuffers(&bufs)
+// tcpPair returns both ends of a loopback TCP connection, closed when
+// the test ends.
+func tcpPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(len("header+payload")); n != want {
-		t.Errorf("wrote %d bytes, want %d", n, want)
-	}
-	if inner.vectorCalls != 1 || inner.vectorBufs != 3 {
-		t.Errorf("inner saw %d vectored calls with %d buffers, want 1 with 3",
-			inner.vectorCalls, inner.vectorBufs)
-	}
-	if inner.writeCalls != 0 {
-		t.Errorf("inner saw %d flat writes, want 0", inner.writeCalls)
-	}
-	if got := inner.buf.String(); got != "header+payload" {
-		t.Errorf("content %q, want %q", got, "header+payload")
-	}
-}
-
-func TestWriteBuffersFallbackPlainWriter(t *testing.T) {
-	// A plain io.Writer gets the same bytes through the WriteTo
-	// fallback.
-	var buf bytes.Buffer
-	w := shapedWriter{w: &buf}
-	bufs := net.Buffers{[]byte("ab"), []byte("cd")}
-	if _, err := w.WriteBuffers(&bufs); err != nil {
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	c1, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.String(); got != "abcd" {
-		t.Errorf("content %q, want %q", got, "abcd")
+	c2 := <-accepted
+	if c2 == nil {
+		c1.Close()
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() {
+		c1.Close()
+		c2.Close()
+	})
+	return c1, c2
+}
+
+func TestWriteBatchVectoredPassThrough(t *testing.T) {
+	// The whole batch reaches the peer intact and is consumed, through
+	// nil and unlimited limiters alike, with and without a deadline. On
+	// TCP net.Buffers goes down as one writev; a net.Pipe takes the
+	// per-buffer fallback of net.Buffers.WriteTo and must carry the
+	// same bytes.
+	pipeW, pipeR := net.Pipe()
+	defer pipeW.Close()
+	defer pipeR.Close()
+	tcpW, tcpR := tcpPair(t)
+	for _, tc := range []struct {
+		name    string
+		w, r    net.Conn
+		timeout time.Duration
+	}{
+		{"tcp", tcpW, tcpR, 0},
+		{"tcp-deadline", tcpW, tcpR, time.Second},
+		{"pipe", pipeW, pipeR, 0},
+	} {
+		want := "header+payload"
+		got := make(chan string, 1)
+		go func() {
+			buf := make([]byte, len(want))
+			io.ReadFull(tc.r, buf)
+			got <- string(buf)
+		}()
+		bufs := net.Buffers{[]byte("head"), []byte("er+"), []byte("payload")}
+		n, err := writeBatch(tc.w, &bufs, NewLimiter(0), nil, tc.timeout)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n != int64(len(want)) || len(bufs) != 0 {
+			t.Errorf("%s: wrote %d bytes leaving %d buffers, want %d and 0", tc.name, n, len(bufs), len(want))
+		}
+		if s := <-got; s != want {
+			t.Errorf("%s: peer read %q, want %q", tc.name, s, want)
+		}
 	}
 }
 
-func TestShapedWriterWriteBuffersZeroAlloc(t *testing.T) {
-	inner := &recordingVectorWriter{}
-	w := shapedWriter{w: inner, limiters: []*Limiter{NewLimiter(0)}}
+func TestWriteBatchWaitsForBatchTotal(t *testing.T) {
+	// Each limiter admits the batch total before the write: with the
+	// sleeps recorded instead of taken, the deficit each one waits out
+	// is the total minus its initial burst.
+	w, r := tcpPair(t)
+	go io.Copy(io.Discard, r)
+	const bps = 1e6
+	var slept [2]time.Duration
+	stream, link := NewLimiter(units.Rate(8*bps)), NewLimiter(units.Rate(8*bps))
+	stream.sleep = func(d time.Duration) { slept[0] += d }
+	link.sleep = func(d time.Duration) { slept[1] += d }
+	bufs := net.Buffers{make([]byte, blockHeaderSize), make([]byte, 100_000), make([]byte, 100_000)}
+	total := blockHeaderSize + 200_000
+	if _, err := writeBatch(w, &bufs, stream, link, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := time.Duration(float64(total-64*1024) / bps * float64(time.Second))
+	for i, d := range slept {
+		if d < want*95/100 || d > want {
+			t.Errorf("limiter %d waited %v, want ~%v", i, d, want)
+		}
+	}
+}
+
+func TestWriteBatchZeroAlloc(t *testing.T) {
+	w, r := tcpPair(t)
+	go io.Copy(io.Discard, r)
+	stream := NewLimiter(0)
 	payload := make([]byte, 1024)
 	header := make([]byte, blockHeaderSize)
 	scratch := make(net.Buffers, 0, 2)
 	var bufs net.Buffers
 	allocs := testing.AllocsPerRun(100, func() {
-		inner.buf.Reset()
 		scratch = append(scratch[:0], header, payload)
 		bufs = scratch
-		if _, err := w.WriteBuffers(&bufs); err != nil {
+		if _, err := writeBatch(w, &bufs, stream, nil, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("WriteBuffers allocates %.1f times per call, want 0", allocs)
+		t.Errorf("writeBatch allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -264,7 +293,7 @@ func TestCRCCacheHitsAndInvalidation(t *testing.T) {
 
 	// Preallocation markers must all be lifted after clean completion.
 	for _, dir := range []string{dstDir, dstDir2} {
-		matches, err := filepath.Glob(filepath.Join(dir, "*"+partialMarkerSuffix))
+		matches, err := filepath.Glob(filepath.Join(dir, "*"+PartialMarkerSuffix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +391,7 @@ func TestDirSinkPreallocateMarkerLifecycle(t *testing.T) {
 	if info.Size() != 4096 {
 		t.Errorf("preallocated size %d, want 4096", info.Size())
 	}
-	if _, err := os.Stat(path + partialMarkerSuffix); err != nil {
+	if _, err := os.Stat(path + PartialMarkerSuffix); err != nil {
 		t.Errorf("marker missing after Preallocate: %v", err)
 	}
 	if _, err := sink.WriteAt("f.bin", make([]byte, 4096), 0); err != nil {
@@ -371,7 +400,7 @@ func TestDirSinkPreallocateMarkerLifecycle(t *testing.T) {
 	if err := sink.Close("f.bin"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + partialMarkerSuffix); !os.IsNotExist(err) {
+	if _, err := os.Stat(path + PartialMarkerSuffix); !os.IsNotExist(err) {
 		t.Errorf("marker still present after Close: %v", err)
 	}
 }
@@ -390,7 +419,7 @@ func TestResumeRangesRefetchesMarkedPartial(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "interrupted.bin"), make([]byte, 1000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "interrupted.bin"+partialMarkerSuffix), nil, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "interrupted.bin"+PartialMarkerSuffix), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := PlanResume(dir, files, ResumeOptions{})
