@@ -2,6 +2,8 @@ package chaos_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -312,4 +314,70 @@ func TestChaosSoakVectoredPath(t *testing.T) {
 		t.Errorf("writev_blocks = %d, want at least %d (one clean pass)", blocks, wantBlocks)
 	}
 	t.Logf("vectored soak: batches=%d blocks=%d retries=%d", batches, blocks, r.Retries)
+}
+
+// TestChaosSoakSendfilePath drives the copy-free serve path through a
+// seeded fault schedule: a DirStore server whose CRC sidecar one clean
+// pass has warmed sends its blocks by sendfile, and must still deliver
+// byte-identical content through corruption and resets with the retry
+// books reconciled.
+func TestChaosSoakSendfilePath(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the sendfile serve path is Linux-only")
+	}
+	ds := dataset.NewGenerator(64).Uniform(10, 600*units.KB)
+	src := t.TempDir()
+	for _, f := range ds.Files {
+		content := make([]byte, f.Size)
+		proto.FillSynth(f.Name, 0, content)
+		path := filepath.Join(src, filepath.FromSlash(f.Name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srvReg := obs.NewRegistry()
+	srv, err := proto.ListenAndServe("127.0.0.1:0", proto.ServerConfig{
+		Store:     proto.DirStore{Root: src},
+		Metrics:   srvReg,
+		BlockSize: 128 * 1024,
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	chunk := dataset.Chunk{Class: dataset.Large, Files: ds.Files, Parallelism: 2, Pipelining: 2}
+
+	warm := chaosExec(t, srv.Addr(), t.TempDir(), obs.NewRegistry(), 0, 200*time.Millisecond)
+	if _, err := warm.Run(context.Background(), planForChunk(chunk, 1)); err != nil {
+		t.Fatalf("warm-up pass: %v", err)
+	}
+	sendfiles := srvReg.Counter("server_sendfile_blocks")
+	warmSendfiles := sendfiles.Value()
+
+	reg := obs.NewRegistry()
+	schedule := chaos.SeededSchedule(64, 8, 3, 1<<20)
+	proxy := newProxy(t, srv.Addr(), chaos.Options{
+		Schedule: schedule,
+		Metrics:  reg,
+		Events:   obs.NewLog(nil),
+	})
+	dir := t.TempDir()
+	exec := chaosExec(t, proxy.Addr(), dir, reg, 32, 200*time.Millisecond)
+	r, err := exec.Run(context.Background(), planForChunk(chunk, 1))
+	if err != nil {
+		t.Fatalf("sendfile transfer did not survive schedule %+v: %v", schedule, err)
+	}
+	assertContent(t, dir, ds)
+	if got := reg.Snapshot().Counters["retries_total"]; got != r.Retries {
+		t.Errorf("retries_total = %d, report says %d", got, r.Retries)
+	}
+	n := sendfiles.Value() - warmSendfiles
+	if n == 0 {
+		t.Fatal("no block went by sendfile after the warm-up pass")
+	}
+	t.Logf("sendfile soak: injected=%v sendfile_blocks=%d retries=%d", proxy.Injected(), n, r.Retries)
 }

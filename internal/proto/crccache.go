@@ -4,15 +4,15 @@ import "sync"
 
 // crcCache is the server's CRC-32C sidecar cache: for each file it
 // remembers the checksum of every block-size tile, keyed by the file's
-// identity (size + mtime from the store's Versioner extension). The
-// serve loop must read payload bytes regardless, but on a repeat serve
-// of an unchanged file it skips re-hashing them — the cached tile CRCs
-// are combined into the whole-range checksum with CRC32CCombine
-// instead. Tiles are the same shape the client's
-// combineBlocks works in, so the cached sidecar and the client-side
-// verification agree by construction.
+// identity (size + modification token from the store's Versioner
+// extension). On a repeat serve of an unchanged file the serve loop
+// skips re-hashing payload bytes (and, on the sendfile path, reading
+// them at all): the cached tile CRCs are combined into the whole-range
+// checksum with CRC32CCombine instead. Tiles are the same shape the
+// client's combineBlocks works in, so the cached sidecar and the
+// client-side verification agree by construction.
 //
-// A file whose size, mtime or tile width changes is recomputed from
+// A file whose size, token or tile width changes is recomputed from
 // scratch; entries are evicted FIFO past the capacity bound, so a
 // server cycling through a huge corpus holds at most maxEntries
 // sidecars.
@@ -32,7 +32,7 @@ const defaultCRCCacheEntries = 64 * 1024
 // crcEntry is one file's sidecar.
 type crcEntry struct {
 	size  int64
-	mtime int64 // UnixNano of the store's mtime; stable token, not wall time
+	mtime int64 // the store's modification token, compared for equality only
 	tile  int64
 	crcs  []uint32
 	have  []bool

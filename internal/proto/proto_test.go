@@ -3,7 +3,9 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -506,6 +508,60 @@ func TestFillSynthStable(t *testing.T) {
 	FillSynth("g", 0, b)
 	if bytes.Equal(a, b) {
 		t.Error("different files produced identical content")
+	}
+}
+
+// fillSynthPerByte is FillSynth as first written, one 64-bit mix per
+// byte: the reference the lane-at-a-time generator must match bit for
+// bit.
+func fillSynthPerByte(name string, off int64, p []byte) {
+	seed := int64(nameHash(name))
+	for i := range p {
+		pos := off + int64(i)
+		lane := pos >> 3
+		x := uint64(seed) ^ uint64(lane)*0x9E3779B97F4A7C15
+		x ^= x >> 33
+		x *= 0xFF51AFD7ED558CCD
+		x ^= x >> 33
+		var lanes [8]byte
+		binary.LittleEndian.PutUint64(lanes[:], x)
+		p[i] = lanes[pos&7]
+	}
+}
+
+// FillSynth's output is fixed: golden CRCs pin it, and every offset and
+// length around lane edges matches the per-byte reference.
+func TestFillSynthGolden(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		off  int64
+		n    int
+		crc  uint32
+	}{
+		{"f", 0, 1, 0x4f1eaa24},
+		{"f", 7, 2, 0x32120247},
+		{"f", 3, 13, 0xe3bb020a},
+		{"data/a.bin", 8, 8, 0x5122dd65},
+		{"data/a.bin", 5, 3, 0x01266769},
+		{"x", 1<<33 - 3, 4099, 0xab9e9623},
+		{"g", 256*1024 - 3, 256*1024 + 3, 0xa068e8d8},
+	} {
+		p := make([]byte, g.n)
+		FillSynth(g.name, g.off, p)
+		if got := crc32.Checksum(p, crcTable); got != g.crc {
+			t.Errorf("FillSynth(%q, %d, %d bytes) crc %08x, want %08x", g.name, g.off, g.n, got, g.crc)
+		}
+	}
+	got := make([]byte, 40)
+	want := make([]byte, 40)
+	for off := int64(0); off < 17; off++ {
+		for n := 0; n <= len(got); n++ {
+			FillSynth("lanes", off, got[:n])
+			fillSynthPerByte("lanes", off, want[:n])
+			if !bytes.Equal(got[:n], want[:n]) {
+				t.Fatalf("FillSynth at %d+%d differs from the per-byte reference", off, n)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -157,6 +158,7 @@ type serverInstruments struct {
 	writevBlocks     *obs.Counter
 	crcCacheHits     *obs.Counter
 	crcCacheMisses   *obs.Counter
+	sendfileBlocks   *obs.Counter
 }
 
 // Serve starts a server on ln. Close the server to stop it.
@@ -180,6 +182,7 @@ func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 			writevBlocks:     cfg.Metrics.Counter("server_writev_blocks"),
 			crcCacheHits:     cfg.Metrics.Counter("server_crc_cache_hits"),
 			crcCacheMisses:   cfg.Metrics.Counter("server_crc_cache_misses"),
+			sendfileBlocks:   cfg.Metrics.Counter("server_sendfile_blocks"),
 		},
 	}
 	if !cfg.DisableCRCCache {
@@ -601,12 +604,14 @@ func (sess *serverSession) serveLoop(doneQueue *delayQueue[string]) {
 }
 
 // queuedBlock is one block in flight from the serve loop to a stream
-// writer: the framing header plus the pooled payload buffer, which the
-// receiving writer owns (it returns it to the pool once the bytes are
-// written or dropped).
+// writer: the framing header plus its payload, which is either a pooled
+// buffer the receiving writer owns (it returns it to the pool once the
+// bytes are written or dropped) or, when buf is nil, the header's range
+// of file, sent by sendfile.
 type queuedBlock struct {
 	header blockHeader
 	buf    *[]byte
+	file   *os.File
 }
 
 // collectBatch fills batch[:0] from q: it blocks for the first block,
@@ -642,6 +647,38 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	}
 	blockSize := sess.srv.cfg.blockSize()
 
+	// The whole-range CRC is built by combining per-block CRCs with
+	// CRC32CCombine. When the store can vouch for the file's identity
+	// and the range is block-aligned, block CRCs come from (and feed)
+	// the sidecar cache. A block whose CRC is cached has no reason to
+	// pass through user space: on a stream that can take it, it is
+	// queued as a file range and sent by sendfile. Every other block is
+	// read into a pooled buffer.
+	var sidecar *crcSidecar
+	if sess.srv.crcSidecars != nil && req.Offset%int64(blockSize) == 0 {
+		if v, ok := sess.srv.cfg.Store.(Versioner); ok {
+			if size, mtime, ok := v.Version(req.Name); ok {
+				sidecar = sess.srv.crcSidecars.open(req.Name, size, mtime, blockSize)
+			}
+		}
+	}
+
+	// A store that hands out file handles is opened once for the whole
+	// GET. The identity above is taken first: a file replaced in between
+	// is then served under the old identity, which no later serve
+	// matches, instead of filing the old file's CRCs under the new one.
+	// The deferred close runs after wg.Wait below, when no writer can
+	// still be sending from the file.
+	var file *os.File
+	if o, ok := sess.srv.cfg.Store.(Opener); ok && req.Length > 0 {
+		f, err := o.Open(req.Name)
+		if err != nil {
+			return fmt.Errorf("opening %s: %w", req.Name, err)
+		}
+		defer f.Close()
+		file = f
+	}
+
 	// Unshaped streams gather queue backlog into multi-block writev
 	// batches; shaped streams stay at one block per write so the
 	// limiters keep pacing at block granularity (the header+payload
@@ -655,49 +692,35 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 		queueDepth = maxBatch
 	}
 
-	// Per-stream block queues and writer goroutines. Payloads ride in
-	// pooled buffers: the reader below fills one per block, and the
-	// writer that receives it owns it, so the steady-state path
-	// allocates nothing per block. Each batch becomes one writev:
-	// headers live in a per-writer slab and interleave with payloads in
-	// a net.Buffers that reaches the socket without flattening.
+	// Per-stream block queues and writer goroutines. Buffered payloads
+	// ride in pooled buffers: the reader below fills one per block, and
+	// the writer that receives it owns it, so the steady-state path
+	// allocates nothing per block.
 	queues := make([]chan queuedBlock, len(streams))
+	writers := make([]*streamWriter, len(streams))
 	errs := make([]error, len(streams))
 	var wg sync.WaitGroup
 	for i := range streams {
 		queues[i] = make(chan queuedBlock, queueDepth)
+		w := newStreamWriter(streams[i], maxBatch, NewLimiter(sess.srv.cfg.PerStreamRate), sess.srv.link,
+			sess.srv.cfg.StallTimeout, &sess.srv.inst)
+		if file != nil {
+			w.file = newFileSender(streams[i])
+		}
+		writers[i] = w
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			ssp := gsp.Child(span.NameServerStream, "stream", i)
 			defer ssp.End()
-			perStream := NewLimiter(sess.srv.cfg.PerStreamRate)
-			headers := make([]byte, maxBatch*blockHeaderSize)
 			batch := make([]queuedBlock, 0, maxBatch)
-			// scratch is the stable backing for each batch's vector;
-			// bufs is the consumable header copy handed to writeBatch
-			// (the write advances it, leaving scratch's capacity intact).
-			scratch := make(net.Buffers, 0, 2*maxBatch)
-			var bufs net.Buffers
 			for {
 				var open bool
 				batch, open = collectBatch(queues[i], batch, maxBatch)
 				if len(batch) > 0 && errs[i] == nil {
-					scratch = scratch[:0]
-					for j, b := range batch {
-						h := headers[j*blockHeaderSize : (j+1)*blockHeaderSize]
-						encodeBlockHeader(h, b.header)
-						scratch = append(scratch, h, *b.buf)
-					}
-					bufs = scratch
-					n, err := writeBatch(streams[i], &bufs, perStream, sess.srv.link, sess.srv.cfg.StallTimeout)
-					if err != nil {
-						errs[i] = err
-					} else {
-						sess.srv.inst.writevBatches.Inc()
-						sess.srv.inst.writevBlocks.Add(int64(len(batch)))
-						ssp.AddBytes(n)
-					}
+					n, err := w.write(batch)
+					errs[i] = err
+					ssp.AddBytes(n)
 				}
 				for _, b := range batch {
 					putBlockBuf(b.buf)
@@ -709,19 +732,6 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 		}(i)
 	}
 
-	// The whole-range CRC is built by combining per-block CRCs with
-	// CRC32CCombine. When the store can vouch for the file's identity
-	// and the range is block-aligned, block CRCs come from (and feed)
-	// the sidecar cache, so repeat serves of an unchanged file skip the
-	// hash pass over payload bytes.
-	var sidecar *crcSidecar
-	if sess.srv.crcSidecars != nil && req.Offset%int64(blockSize) == 0 {
-		if v, ok := sess.srv.cfg.Store.(Versioner); ok {
-			if size, mtime, ok := v.Version(req.Name); ok {
-				sidecar = sess.srv.crcSidecars.open(req.Name, size, mtime, blockSize)
-			}
-		}
-	}
 	var crcState uint32
 	var readErr error
 	offset := req.Offset
@@ -731,35 +741,32 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 		if n > remaining {
 			n = remaining
 		}
-		bufp := getBlockBuf(int(n))
-		payload := *bufp
-		//lint:allow bufown Store.ReadAt follows io.ReaderAt, which forbids retaining p
-		read, err := sess.srv.cfg.Store.ReadAt(req.Name, payload, offset)
-		if err != nil && !(errors.Is(err, io.EOF) && int64(read) == n) {
-			putBlockBuf(bufp)
-			readErr = fmt.Errorf("reading %s at %d: %w", req.Name, offset, err)
-			break
-		}
-		if int64(read) != n {
-			putBlockBuf(bufp)
-			readErr = fmt.Errorf("short read on %s at %d: %d of %d", req.Name, offset, read, n)
-			break
-		}
+		q := blockIdx % len(queues)
+		block := queuedBlock{header: blockHeader{ReqID: req.ID, Offset: uint64(offset), Length: uint32(n)}}
 		bcrc, cached := sidecar.lookup(offset, n)
-		if cached {
-			sess.srv.inst.crcCacheHits.Inc()
+		if cached && writers[q].file != nil {
+			block.file = file
 		} else {
-			bcrc = crc32.Checksum(payload, crcTable)
-			if sidecar != nil {
-				sidecar.store(offset, n, bcrc)
-				sess.srv.inst.crcCacheMisses.Inc()
+			bufp := getBlockBuf(int(n))
+			if err := sess.readBlock(req.Name, file, *bufp, offset); err != nil {
+				putBlockBuf(bufp)
+				readErr = err
+				break
+			}
+			block.buf = bufp
+			if !cached {
+				bcrc = crc32.Checksum(*bufp, crcTable)
+				if sidecar != nil {
+					sidecar.store(offset, n, bcrc)
+					sess.srv.inst.crcCacheMisses.Inc()
+				}
 			}
 		}
-		crcState = CRC32CCombine(crcState, bcrc, n)
-		queues[blockIdx%len(queues)] <- queuedBlock{
-			header: blockHeader{ReqID: req.ID, Offset: uint64(offset), Length: uint32(n)},
-			buf:    bufp,
+		if cached {
+			sess.srv.inst.crcCacheHits.Inc()
 		}
+		crcState = CRC32CCombine(crcState, bcrc, n)
+		queues[q] <- block
 		offset += n
 		remaining -= n
 	}
@@ -781,6 +788,141 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	sess.srv.inst.bytesServed.Add(req.Length)
 	doneQueue.Push(fmt.Sprintf("%s %d %d\n", respDone, req.ID, crcState))
 	return nil
+}
+
+// readBlock fills p with the file's bytes at off: from the GET's own
+// handle when the store gave one, through Store.ReadAt otherwise.
+func (sess *serverSession) readBlock(name string, f *os.File, p []byte, off int64) error {
+	var read int
+	var err error
+	if f != nil {
+		read, err = f.ReadAt(p, off)
+	} else {
+		//lint:allow bufown Store.ReadAt follows io.ReaderAt, which forbids retaining p
+		read, err = sess.srv.cfg.Store.ReadAt(name, p, off)
+	}
+	if err != nil && !(errors.Is(err, io.EOF) && read == len(p)) {
+		return fmt.Errorf("reading %s at %d: %w", name, off, err)
+	}
+	if read != len(p) {
+		return fmt.Errorf("short read on %s at %d: %d of %d", name, off, read, len(p))
+	}
+	return nil
+}
+
+// streamWriter sends one data stream's share of a GET. Each batch the
+// writer collects goes out in order: buffered payloads ride in one
+// writev with their headers, and a file-backed payload goes by
+// sendfile right after a writev that ends with its header.
+type streamWriter struct {
+	conn    net.Conn
+	file    *fileSender // nil: the stream takes buffered blocks only
+	stream  *Limiter
+	link    *Limiter
+	timeout time.Duration
+	inst    *serverInstruments
+
+	// headers holds one encoded header per batch slot. scratch is the
+	// stable backing of each writev's vector; bufs is the consumable
+	// copy handed to writeBatch (the write advances it, leaving
+	// scratch's capacity intact).
+	headers []byte
+	scratch net.Buffers
+	bufs    net.Buffers
+}
+
+func newStreamWriter(conn net.Conn, maxBatch int, stream, link *Limiter, timeout time.Duration, inst *serverInstruments) *streamWriter {
+	return &streamWriter{
+		conn:    conn,
+		stream:  stream,
+		link:    link,
+		timeout: timeout,
+		inst:    inst,
+		headers: make([]byte, maxBatch*blockHeaderSize),
+		scratch: make(net.Buffers, 0, 2*maxBatch),
+	}
+}
+
+// write sends one batch of at most maxBatch blocks and returns the
+// bytes written.
+func (w *streamWriter) write(batch []queuedBlock) (int64, error) {
+	var total int64
+	w.scratch = w.scratch[:0]
+	headers := 0
+	for j, b := range batch {
+		h := w.headers[j*blockHeaderSize : (j+1)*blockHeaderSize]
+		encodeBlockHeader(h, b.header)
+		w.scratch = append(w.scratch, h)
+		headers++
+		if b.buf != nil {
+			w.scratch = append(w.scratch, *b.buf)
+			continue
+		}
+		n, err := w.flush(headers)
+		total += n
+		if err != nil {
+			return total, err
+		}
+		headers = 0
+		n, err = w.sendFile(b.file, int64(b.header.Offset), int64(b.header.Length))
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	if headers > 0 {
+		n, err := w.flush(headers)
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// flush writes the pending vector, which carries the given number of
+// block headers, as one writev.
+func (w *streamWriter) flush(headers int) (int64, error) {
+	w.bufs = w.scratch
+	w.scratch = w.scratch[:0]
+	n, err := writeBatch(w.conn, &w.bufs, w.stream, w.link, w.timeout)
+	if err != nil {
+		return n, err
+	}
+	w.inst.writevBatches.Inc()
+	w.inst.writevBlocks.Add(int64(headers))
+	return n, nil
+}
+
+// sendFile sends the n-byte payload at off of f by sendfile. Like
+// writeBatch it first admits the bytes through both limiters and arms
+// the rolling write deadline. A file that ends early (it shrank since
+// the GET began) would leave the frame short and the client waiting
+// for bytes that never come, so the rest of the frame is padded with
+// zeros and the block fails: the GET ends in ERR and the stream stays
+// framed for the next one.
+func (w *streamWriter) sendFile(f *os.File, off, n int64) (int64, error) {
+	w.stream.Wait(int(n))
+	w.link.Wait(int(n))
+	if w.timeout > 0 {
+		if err := w.conn.SetWriteDeadline(time.Now().Add(w.timeout)); err != nil {
+			return 0, err
+		}
+	}
+	sent, err := w.file.send(f, off, n)
+	if err != nil {
+		return sent, err
+	}
+	w.inst.sendfileBlocks.Inc()
+	if sent == n {
+		return sent, nil
+	}
+	w.bufs = append(w.scratch[:0], make([]byte, n-sent))
+	pad, err := writeBatch(w.conn, &w.bufs, nil, nil, w.timeout)
+	if err != nil {
+		return sent + pad, err
+	}
+	return sent + pad, fmt.Errorf("file ended at %d, inside the block at %d+%d", off+sent, off, n)
 }
 
 // writeBatch sends one batch of framed blocks to a data stream as a

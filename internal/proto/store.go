@@ -27,11 +27,22 @@ type Store interface {
 // file's current identity (size plus a modification token) enable the
 // server's CRC sidecar cache, which skips re-hashing payload bytes on
 // repeat serves of an unchanged file. mtime is any value that changes
-// whenever the content may have (a filesystem mtime in UnixNano;
-// immutable stores return a constant). Stores without the method are
-// simply never cached.
+// whenever the content may have (DirStore folds the mtime with the
+// ctime and inode; immutable stores return a constant). Stores without
+// the method are simply never cached.
 type Versioner interface {
 	Version(name string) (size int64, mtime int64, ok bool)
+}
+
+// Opener is an optional Store extension for stores backed by real
+// files. The server opens the file once per GET and closes it when the
+// GET ends: cold blocks are read from that handle instead of through
+// ReadAt, and on Linux TCP streams a block whose checksum the CRC
+// sidecar already holds goes out by sendfile(2) without being read at
+// all. Stores without the method are served block by block through
+// ReadAt.
+type Opener interface {
+	Open(name string) (*os.File, error)
 }
 
 // DirStore serves real files from a directory tree.
@@ -82,13 +93,18 @@ func rootedPath(root, name string) (string, error) {
 	return filepath.Join(root, clean), nil
 }
 
-// ReadAt implements Store. Paths are confined to the root.
-func (s DirStore) ReadAt(name string, p []byte, off int64) (int, error) {
+// Open implements Opener. Paths are confined to the root.
+func (s DirStore) Open(name string) (*os.File, error) {
 	path, err := rootedPath(s.Root, name)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	f, err := os.Open(path)
+	return os.Open(path)
+}
+
+// ReadAt implements Store.
+func (s DirStore) ReadAt(name string, p []byte, off int64) (int, error) {
+	f, err := s.Open(name)
 	if err != nil {
 		return 0, err
 	}
@@ -96,11 +112,14 @@ func (s DirStore) ReadAt(name string, p []byte, off int64) (int, error) {
 	return f.ReadAt(p, off)
 }
 
-// Version implements Versioner from the file's stat: size plus mtime in
-// UnixNano. A rewrite that preserves both within the filesystem's mtime
-// granularity is indistinguishable — the same caveat every
-// mtime-keyed cache (rsync, make, build systems) carries, and the
-// client's end-to-end checksum still catches a stale answer.
+// Version implements Versioner from the file's stat: the size, and a
+// token that folds the mtime with the ctime and inode where the
+// platform reports them (versionToken). Restoring a rewritten file's
+// mtime does not restore its ctime, so the rewrite still invalidates
+// the CRC sidecar. Where only the mtime is known, a same-size rewrite
+// that keeps the mtime serves the old checksums: the client detects
+// the mismatch, but every refetch gets the same stale CRC until the
+// sidecar entry goes.
 func (s DirStore) Version(name string) (int64, int64, bool) {
 	path, err := rootedPath(s.Root, name)
 	if err != nil {
@@ -110,7 +129,7 @@ func (s DirStore) Version(name string) (int64, int64, bool) {
 	if err != nil || info.IsDir() {
 		return 0, 0, false
 	}
-	return info.Size(), info.ModTime().UnixNano(), true
+	return info.Size(), versionToken(info), true
 }
 
 // SynthStore serves deterministic pseudo-random content for a synthetic
@@ -175,19 +194,19 @@ func (s *SynthStore) ReadAt(name string, p []byte, off int64) (int, error) {
 
 // FillSynth writes the canonical synthetic content of file `name` at
 // `off` into p. The generator is a per-8-byte-lane xorshift seeded from
-// the name hash and the lane index, so content is O(1)-seekable.
+// the name hash and the lane index, so content is O(1)-seekable; one
+// mix fills a whole lane.
 func FillSynth(name string, off int64, p []byte) {
-	seed := int64(nameHash(name))
-	for i := range p {
+	seed := nameHash(name)
+	var lanes [8]byte
+	for i := 0; i < len(p); {
 		pos := off + int64(i)
-		lane := pos >> 3
-		x := uint64(seed) ^ uint64(lane)*0x9E3779B97F4A7C15
+		x := seed ^ uint64(pos>>3)*0x9E3779B97F4A7C15
 		x ^= x >> 33
 		x *= 0xFF51AFD7ED558CCD
 		x ^= x >> 33
-		var lanes [8]byte
 		binary.LittleEndian.PutUint64(lanes[:], x)
-		p[i] = lanes[pos&7]
+		i += copy(p[i:], lanes[pos&7:])
 	}
 }
 
