@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/didclab/eta/internal/endsys"
@@ -81,6 +80,7 @@ func (s *Sim) Start(ctx context.Context, plan Plan) (Session, error) {
 	if maxSim <= 0 {
 		maxSim = DefaultMaxSimTime
 	}
+	servers := max(1, s.TB.ServersPerSite)
 	sess := &simSession{
 		ctx:     ctx,
 		sim:     s,
@@ -88,6 +88,12 @@ func (s *Sim) Start(ctx context.Context, plan Plan) (Session, error) {
 		tick:    tick,
 		maxSim:  maxSim,
 		perByte: chainEnergyPerByte(s),
+		sites:   [2]*endsys.Server{&s.TB.Source, &s.TB.Dest},
+		acc:     make([]int, servers),
+		loads:   make([]srvLoad, servers),
+	}
+	if ctx != nil {
+		sess.done = ctx.Done()
 	}
 	for i := range plan.Chunks {
 		cp := plan.Chunks[i]
@@ -163,8 +169,16 @@ type simChannel struct {
 	rate      units.Rate // set each tick
 }
 
+// srvLoad is one site server's load during a tick.
+type srvLoad struct {
+	rate    float64
+	procs   int
+	streams int
+}
+
 type simSession struct {
 	ctx    context.Context
+	done   <-chan struct{} // ctx.Done(), nil when ctx cannot be cancelled
 	sim    *Sim
 	plan   Plan
 	tick   time.Duration
@@ -183,6 +197,12 @@ type simSession struct {
 	samples    []Sample
 	finished   bool
 	activeConc int
+
+	sites [2]*endsys.Server // source and destination server models
+	// Per-tick scratch indexed by site server, cleared and reused every
+	// tick so that a tick allocates nothing.
+	acc   []int     // live channels per server
+	loads []srvLoad // load per server, for integratePower
 }
 
 var errSimTimeout = errors.New("transfer: simulation exceeded MaxSimTime (transfer starved?)")
@@ -282,7 +302,7 @@ func (s *simSession) newChannel(c *simChunk) *simChannel {
 		coldLeft: float64(s.sim.TB.Path.SlowStartBytes()) * float64(c.plan.Parallelism()),
 	}
 	if s.plan.SpreadServers {
-		ch.serverIdx = s.nextSrv % max(1, s.sim.Env().ServersPerSite)
+		ch.serverIdx = s.nextSrv % len(s.acc)
 		s.nextSrv++
 	}
 	return ch
@@ -325,11 +345,16 @@ func (s *simSession) Advance(d time.Duration) (Sample, error) {
 	return sample, nil
 }
 
+// ctxErr polls for cancellation. It selects on the cached Done channel
+// rather than calling ctx.Err every tick: Err takes a mutex that every
+// sched worker sharing the context contends on.
 func (s *simSession) ctxErr() error {
-	if s.ctx == nil {
+	select {
+	case <-s.done:
+		return s.ctx.Err()
+	default:
 		return nil
 	}
-	return s.ctx.Err()
 }
 
 // Finish implements Session.
@@ -392,27 +417,29 @@ func (s *simSession) step(dt time.Duration) {
 			}
 		}
 	}
-	path := s.sim.TB.Path
+	path := &s.sim.TB.Path
 	if bg := s.sim.Background; bg != nil {
 		frac := units.ClampF(bg(s.now), 0, 0.95)
-		path.Bandwidth = units.Rate(float64(path.Bandwidth) * (1 - frac))
+		shared := *path
+		shared.Bandwidth = units.Rate(float64(shared.Bandwidth) * (1 - frac))
+		path = &shared
 	}
 	var perStream float64
 	if totalStreams > 0 {
 		perStream = float64(path.AggregateRate(totalStreams)) / float64(totalStreams)
 	}
-	srcAcc, dstAcc := s.accessorCounts()
+	s.countAccessors()
 	for _, ch := range s.channels {
 		if !s.channelLive(ch) {
 			ch.rate = 0
 			continue
 		}
 		rate := perStream * float64(ch.chunk.plan.Parallelism())
-		if r := s.diskShare(s.sim.TB.Source, srcAcc[ch.serverIdx]); r < rate {
-			rate = r
-		}
-		if r := s.diskShare(s.sim.TB.Dest, dstAcc[ch.serverIdx]); r < rate {
-			rate = r
+		n := s.acc[ch.serverIdx]
+		for _, server := range s.sites {
+			if r := diskShare(server, n); r < rate {
+				rate = r
+			}
 		}
 		if ch.coldLeft > 0 {
 			rate *= 0.5
@@ -466,23 +493,21 @@ func (s *simSession) channelLive(ch *simChannel) bool {
 	return ch.hasFile || ch.gap > 0 || ch.chunk.hasQueuedFiles()
 }
 
-// accessorCounts returns, per site server, how many channels are
-// actively reading (source) / writing (destination) a file.
-func (s *simSession) accessorCounts() (src, dst map[int]int) {
-	src = make(map[int]int)
-	dst = make(map[int]int)
+// countAccessors sets s.acc to how many live channels each site server
+// has. A channel reads from the source server and writes to the
+// destination server of the same index, so one count serves both sites.
+func (s *simSession) countAccessors() {
+	clear(s.acc)
 	for _, ch := range s.channels {
 		if s.channelLive(ch) {
-			src[ch.serverIdx]++
-			dst[ch.serverIdx]++
+			s.acc[ch.serverIdx]++
 		}
 	}
-	return src, dst
 }
 
 // diskShare returns the per-channel disk throughput on a server with n
 // concurrent accessors.
-func (s *simSession) diskShare(server endsys.Server, n int) float64 {
+func diskShare(server *endsys.Server, n int) float64 {
 	if n <= 0 {
 		return 0
 	}
@@ -550,23 +575,14 @@ func (s *simSession) consume(ch *simChannel, bytes float64) {
 
 // integratePower books both sites' server power for dt.
 func (s *simSession) integratePower(dt time.Duration) {
-	type srvLoad struct {
-		rate    float64
-		procs   int
-		streams int
-	}
-	loads := make(map[int]*srvLoad)
+	clear(s.loads)
 	live := 0
 	for _, ch := range s.channels {
 		if !s.channelLive(ch) {
 			continue // retired channel
 		}
 		live++
-		l := loads[ch.serverIdx]
-		if l == nil {
-			l = &srvLoad{}
-			loads[ch.serverIdx] = l
-		}
+		l := &s.loads[ch.serverIdx]
 		l.procs++
 		l.streams += ch.chunk.plan.Parallelism()
 		if ch.hasFile {
@@ -579,26 +595,18 @@ func (s *simSession) integratePower(dt time.Duration) {
 	// pool server pays its base activity floor even when it currently
 	// holds no channel. This is the mechanism behind GO's multi-server
 	// energy premium (§3).
-	if s.plan.SpreadServers && live > 0 {
-		for idx := 0; idx < s.sim.Env().ServersPerSite; idx++ {
-			if loads[idx] == nil {
-				loads[idx] = &srvLoad{}
-			}
-		}
-	}
+	pool := s.plan.SpreadServers && live > 0
 	// Sum in server-index order: float addition is not associative, so
-	// iterating the map directly would make the energy totals differ in
-	// the last ulp from run to run (and break the determinism contract
-	// of the parallel experiment engine, DESIGN.md §6).
-	idxs := make([]int, 0, len(loads))
-	for idx := range loads {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
+	// the order must be fixed for the energy totals to be identical from
+	// run to run (the determinism contract of the parallel experiment
+	// engine, DESIGN.md §6).
 	var total units.Watts
-	for _, idx := range idxs {
-		l := loads[idx]
-		for _, server := range []endsys.Server{s.sim.TB.Source, s.sim.TB.Dest} {
+	for i := range s.loads {
+		l := &s.loads[i]
+		if l.procs == 0 && !pool {
+			continue // server takes no part in the transfer
+		}
+		for _, server := range s.sites {
 			var u endsys.Utilization
 			if l.procs == 0 && l.rate == 0 {
 				u = endsys.Utilization{CPU: server.CPUBaseActive}.Clamp()

@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -485,5 +486,108 @@ func TestSimGOStyleSpreadUsesAllPoolServers(t *testing.T) {
 	if spread4.Throughput <= spread2.Throughput {
 		t.Errorf("4 spread channels should outrun 2: %v vs %v",
 			spread4.Throughput, spread2.Throughput)
+	}
+}
+
+// midTransfer starts a multi-chunk, Globus-Online-style plan on XSEDE
+// (four servers per site, channels spread across them) and runs it
+// 30 simulated seconds in, past slow start and the first per-file gaps.
+func midTransfer(tb testing.TB) *simSession {
+	tb.Helper()
+	bed := testbed.XSEDE()
+	ds := bed.Dataset(1)
+	var plan Plan
+	for _, c := range dataset.PartitionAndMerge(ds, bed.Path.BDP()) {
+		c.Parallelism, c.Pipelining = 2, 4
+		plan.Chunks = append(plan.Chunks, ChunkPlan{Chunk: c, Channels: 3, Weight: c.Weight(), AcceptRealloc: true})
+	}
+	plan.SpreadServers = true
+	plan.ReallocOnComplete = true
+	sess, err := NewSim(bed).Start(context.Background(), plan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := sess.Advance(30 * time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	return sess.(*simSession)
+}
+
+// A tick must allocate nothing: every simulated second behind
+// Figs. 2–7 runs ten of them.
+func TestSimStepAllocatesNothing(t *testing.T) {
+	s := midTransfer(t)
+	if len(s.chunks) < 2 || len(s.channels) < 4 {
+		t.Fatalf("want a multi-chunk, multi-channel session, got %d chunks, %d channels", len(s.chunks), len(s.channels))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.step(DefaultTick) }); allocs != 0 {
+		t.Errorf("step allocates %v times per tick, want 0", allocs)
+	}
+	if s.Done() {
+		t.Fatal("session drained during the measurement; it no longer measures a mid-transfer tick")
+	}
+}
+
+// Cancelling from another goroutine while Finish runs must stop the
+// simulation within one tick and leave the partial window unsampled.
+func TestSimCancelDuringFinish(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const cancelAt = 10 * time.Second
+	reached := make(chan struct{})
+	cancelled := make(chan struct{})
+	go func() {
+		<-reached
+		cancel()
+		close(cancelled)
+	}()
+	sim := NewSim(testbed.XSEDE())
+	// Background runs once per tick; it hands the cancel to the other
+	// goroutine once the simulation is cancelAt in, and waits for it.
+	sim.Background = func(at time.Duration) float64 {
+		if at == cancelAt {
+			close(reached)
+			<-cancelled
+		}
+		return 0
+	}
+	sess, err := sim.Start(ctx, smallPlan(16, 4*units.GB, 4, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Finish(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Finish returned %v, want context.Canceled", err)
+	}
+	s := sess.(*simSession)
+	if s.now != cancelAt+DefaultTick {
+		t.Errorf("simulation stopped at %v, want %v: the tick after the cancel must not run", s.now, cancelAt+DefaultTick)
+	}
+	n := len(s.samples)
+	for i, smp := range s.samples {
+		if smp.Duration != SampleWindow || smp.Start+smp.Duration > cancelAt {
+			t.Errorf("sample %d covers %v+%v, want a full window before the cancel", i, smp.Start, smp.Duration)
+		}
+	}
+	if _, err := sess.Advance(SampleWindow); !errors.Is(err, context.Canceled) {
+		t.Errorf("Advance after cancel returned %v, want context.Canceled", err)
+	}
+	if len(s.samples) != n {
+		t.Errorf("%d samples appended after the error", len(s.samples)-n)
+	}
+}
+
+// BenchmarkSimStep times one tick of a mid-transfer session; run it
+// with -benchmem to see the per-tick allocations.
+func BenchmarkSimStep(b *testing.B) {
+	b.ReportAllocs()
+	s := midTransfer(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.Done() {
+			b.StopTimer()
+			s = midTransfer(b)
+			b.StartTimer()
+		}
+		s.step(DefaultTick)
 	}
 }
