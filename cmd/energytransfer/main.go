@@ -30,7 +30,6 @@ import (
 	"github.com/didclab/eta/internal/obs/span"
 	"github.com/didclab/eta/internal/power"
 	"github.com/didclab/eta/internal/proto"
-	"github.com/didclab/eta/internal/trace"
 	"github.com/didclab/eta/internal/transfer"
 	"github.com/didclab/eta/internal/units"
 )
@@ -50,7 +49,6 @@ func main() {
 	bw := flag.String("bandwidth", "1gbps", "assumed path bandwidth (BDP input)")
 	rtt := flag.Duration("rtt", 10*time.Millisecond, "assumed path RTT (BDP input)")
 	buf := flag.String("buffer", "32MB", "assumed max TCP buffer (parallelism input)")
-	samplesOut := flag.String("samples", "", "write the 5s sample timeline to this CSV file")
 	traceOut := flag.String("trace", "", "record the JSONL event stream with spans and energy samples to this file (replay with xfertrace)")
 	flag.Parse()
 
@@ -58,8 +56,7 @@ func main() {
 		server: *server, addrs: *addrs, algo: *algo, maxChannels: *maxChannels,
 		sla: *sla, maxMbps: *maxMbps, out: *out, verify: *verify,
 		resume: *resume, checksum: *checksum, retries: *retries,
-		bw: *bw, rtt: *rtt, buf: *buf, samplesOut: *samplesOut,
-		traceOut: *traceOut,
+		bw: *bw, rtt: *rtt, buf: *buf, traceOut: *traceOut,
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "energytransfer:", err)
@@ -76,8 +73,7 @@ type options struct {
 	verify, resume      bool
 	checksum            bool
 	retries             int
-	bw, buf, samplesOut string
-	traceOut            string
+	bw, buf, traceOut   string
 	rtt                 time.Duration
 }
 
@@ -106,7 +102,7 @@ func run(o options) error {
 		return fmt.Errorf("-resume needs -out")
 	}
 
-	client := &proto.Client{Addr: o.server, Counters: &proto.Counters{}, VerifyChecksums: o.checksum}
+	client := &proto.Client{Addr: o.server, VerifyChecksums: o.checksum}
 	serversPerSite := 1
 	if o.addrs != "" {
 		eps, err := proto.ParseEndpoints(o.addrs)
@@ -266,17 +262,6 @@ func run(o options) error {
 			return fmt.Errorf("integrity check failed for %d ranges: %v", len(bad), bad[:minI(3, len(bad))])
 		}
 		fmt.Println("integrity: all payload bytes verified")
-	}
-	if o.samplesOut != "" {
-		f, err := os.Create(o.samplesOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := trace.WriteCSV(f, report.Samples); err != nil {
-			return err
-		}
-		log.Printf("samples: wrote %d windows to %s", len(report.Samples), o.samplesOut)
 	}
 	return nil
 }

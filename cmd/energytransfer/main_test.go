@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,20 +62,27 @@ func TestRunSLAEE(t *testing.T) {
 	}
 }
 
-func TestRunToDirectoryWithResumeAndSamples(t *testing.T) {
+func TestRunToDirectoryWithResumeAndTrace(t *testing.T) {
 	srv, ds := startServer(t)
 	dst := t.TempDir()
-	samples := filepath.Join(t.TempDir(), "s.csv")
+	tracePath := filepath.Join(t.TempDir(), "run.jsonl")
 	o := baseOptions(srv.Addr())
+	o.algo = "htee" // samples windows through Advance
 	o.verify = false
 	o.checksum = false
 	o.out = dst
-	o.samplesOut = samples
+	o.traceOut = tracePath
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(samples); err != nil {
-		t.Errorf("samples CSV missing: %v", err)
+	// The trace is the sample timeline: one energy_sample event per
+	// Advance window.
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"type":"energy_sample"`) {
+		t.Error("trace holds no energy_sample windows")
 	}
 	// Every file must be on disk at full size.
 	for _, f := range ds.Files {
@@ -85,7 +93,7 @@ func TestRunToDirectoryWithResumeAndSamples(t *testing.T) {
 	}
 	// Resumed run moves nothing.
 	o.resume = true
-	o.samplesOut = ""
+	o.traceOut = ""
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 // Command xferbench sweeps the three protocol parameters against a
 // live server and prints a throughput table — the measurement
 // methodology behind the paper's tuning decisions, runnable on any pair
-// of hosts (or loopback with xferd's shaping).
+// of hosts (or loopback with xferd's shaping). Each sweep point runs as
+// a one-chunk plan through proto.Executor, the same driver the
+// algorithms steer.
 //
 // Usage:
 //
@@ -25,7 +27,7 @@ import (
 	"github.com/didclab/eta/internal/obs"
 	"github.com/didclab/eta/internal/obs/span"
 	"github.com/didclab/eta/internal/proto"
-	"github.com/didclab/eta/internal/sched"
+	"github.com/didclab/eta/internal/transfer"
 	"github.com/didclab/eta/internal/units"
 )
 
@@ -115,8 +117,6 @@ func run(server, addrs, sweep, valuesStr, perPointStr string, conc, par, pipe in
 			defer ms.Close()
 			fmt.Printf("observability on http://%s/metrics, /spans and /debug/pprof/\n", ms.Addr())
 		}
-		sched.SetMetrics(reg)
-		defer sched.SetMetrics(nil)
 		if metricsOut != "" {
 			defer func() {
 				f, err := os.Create(metricsOut)
@@ -165,6 +165,13 @@ func run(server, addrs, sweep, valuesStr, perPointStr string, conc, par, pipe in
 		return fmt.Errorf("server has no files")
 	}
 
+	exec := &proto.Executor{
+		Client:  client,
+		Sink:    sink,
+		Metrics: client.Metrics,
+		Events:  client.Events,
+		Trace:   client.Trace,
+	}
 	fmt.Printf("sweeping %s over %v (payload ≈%v per point; fixed cc=%d par=%d q=%d)\n\n",
 		sweep, values, perPoint, conc, par, pipe)
 	fmt.Printf("%12s %12s %10s %10s\n", sweep, "throughput", "duration", "files")
@@ -183,9 +190,11 @@ func run(server, addrs, sweep, valuesStr, perPointStr string, conc, par, pipe in
 		if c < 1 || p < 1 || q < 1 {
 			return fmt.Errorf("parameters must be ≥1")
 		}
-		ranges := chooseRanges(files, perPoint)
-		pointSink := sink
-		if jr != nil {
+		exec.Label = fmt.Sprintf("%s=%d", sweep, v)
+		point := files
+		if jr == nil {
+			point = pointFiles(files, perPoint)
+		} else {
 			// Journal mode fetches the verified-recovery plan — whatever
 			// the destination is still missing — instead of a synthetic
 			// per-point payload, so an interrupted run picks up where the
@@ -207,14 +216,13 @@ func run(server, addrs, sweep, valuesStr, perPointStr string, conc, par, pipe in
 				fmt.Printf("%12d %12s %10s %10d\n", v, "complete", "-", 0)
 				continue
 			}
-			ranges = plan.Ranges
-			pointSink = proto.NewCompletionSink(sink, ranges)
+			exec.Resume = plan
 		}
-		thr, dur, n, err := measure(client, ranges, c, p, q, pointSink)
+		r, err := measure(exec, point, c, p, q)
 		if err != nil {
-			return fmt.Errorf("%s=%d: %w", sweep, v, err)
+			return fmt.Errorf("%s: %w", exec.Label, err)
 		}
-		fmt.Printf("%12d %12s %10s %10d\n", v, thr, dur.Round(time.Millisecond), n)
+		fmt.Printf("%12d %12s %10s %10d\n", v, r.Throughput, r.Duration.Round(time.Millisecond), r.Files)
 	}
 	if jr != nil {
 		// A destination proven complete no longer needs its journal.
@@ -232,10 +240,10 @@ func run(server, addrs, sweep, valuesStr, perPointStr string, conc, par, pipe in
 	return nil
 }
 
-// chooseRanges picks ≈perPoint bytes of whole-file fetches, wrapping
-// around the manifest when it is smaller than the point payload (the
-// same name refetches under an independent request).
-func chooseRanges(files []dataset.File, perPoint units.Bytes) []proto.FileRange {
+// pointFiles picks ≈perPoint bytes of whole files, wrapping around the
+// manifest when it is smaller than the point payload (the same name
+// refetches under an independent request).
+func pointFiles(files []dataset.File, perPoint units.Bytes) []dataset.File {
 	var chosen []dataset.File
 	var total units.Bytes
 	for i := 0; total < perPoint; i++ {
@@ -243,7 +251,7 @@ func chooseRanges(files []dataset.File, perPoint units.Bytes) []proto.FileRange 
 		chosen = append(chosen, f)
 		total += f.Size
 	}
-	return proto.WholeFiles(chosen)
+	return chosen
 }
 
 func parseValues(s string) ([]int, error) {
@@ -261,38 +269,14 @@ func parseValues(s string) ([]int, error) {
 	return out, nil
 }
 
-// measure transfers the given ranges at the given parameters, splitting
-// them round-robin across `conc` channels into sink.
-func measure(client *proto.Client, ranges []proto.FileRange, conc, par, pipe int, sink proto.Sink) (units.Rate, time.Duration, int, error) {
-	parts := make([][]proto.FileRange, conc)
-	for i, r := range ranges {
-		parts[i%conc] = append(parts[i%conc], r)
-	}
-
-	start := time.Now()
-	results, err := sched.Map(context.Background(), conc, conc, func(_ context.Context, i int) (proto.FetchResult, error) {
-		part := parts[i]
-		if len(part) == 0 {
-			return proto.FetchResult{}, nil
-		}
-		ch, err := client.OpenChannel(par)
-		if err != nil {
-			return proto.FetchResult{}, err
-		}
-		defer ch.Close()
-		return ch.FetchRanges(part, pipe, sink)
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var moved units.Bytes
-	var count int
-	for _, r := range results {
-		moved += r.Bytes
-		count += r.Files
-	}
-	dur := time.Since(start)
-	return units.RateOf(moved, dur), dur, count, nil
+// measure runs one sweep point through the executor: files as one
+// chunk on conc channels of par streams, each keeping pipe GETs
+// outstanding. With exec.Resume set, only the recovery plan's ranges of
+// those files are fetched.
+func measure(exec *proto.Executor, files []dataset.File, conc, par, pipe int) (transfer.Report, error) {
+	chunk := dataset.Chunk{Files: files, Parallelism: par, Pipelining: pipe}
+	plan := transfer.Plan{Chunks: []transfer.ChunkPlan{{Chunk: chunk, Channels: conc, Weight: 1}}}
+	return exec.Run(context.Background(), plan)
 }
 
 // discard drops payload; xferbench measures the wire, not the disk.

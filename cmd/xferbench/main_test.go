@@ -37,12 +37,13 @@ func TestMeasureAgainstServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thr, dur, n, err := measure(client, chooseRanges(files, 1*units.MB), 2, 2, 2, discard{})
+	exec := &proto.Executor{Client: client, Sink: discard{}}
+	r, err := measure(exec, pointFiles(files, 1*units.MB), 2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if thr <= 0 || dur <= 0 || n < 4 {
-		t.Errorf("measure = %v, %v, %d", thr, dur, n)
+	if r.Throughput <= 0 || r.Duration <= 0 || r.Files < 4 || r.Bytes < 1*units.MB {
+		t.Errorf("measure = %v, %v, %d files, %v", r.Throughput, r.Duration, r.Files, r.Bytes)
 	}
 }
 
@@ -147,8 +148,8 @@ func TestRunDumpsMetricsAndEvents(t *testing.T) {
 	if snap.Counters["bytes_received"] <= 0 {
 		t.Errorf("bytes_received = %d, want > 0", snap.Counters["bytes_received"])
 	}
-	if snap.Counters["sched_tasks_completed"] <= 0 {
-		t.Errorf("sched_tasks_completed = %d, want > 0", snap.Counters["sched_tasks_completed"])
+	if snap.Counters["transfers_finished"] <= 0 {
+		t.Errorf("transfers_finished = %d, want > 0", snap.Counters["transfers_finished"])
 	}
 
 	f, err := os.Open(events)

@@ -57,7 +57,7 @@ func recordTracedRun(t *testing.T) string {
 		t.Fatal(err)
 	}
 	exec := &proto.Executor{
-		Client: &proto.Client{Addr: srv.Addr(), Counters: &proto.Counters{}},
+		Client: &proto.Client{Addr: srv.Addr()},
 		Sink:   proto.NewVerifySink(),
 		Energy: &constantPower{start: time.Now(), watts: 35, log: events},
 		Environment: transfer.Environment{

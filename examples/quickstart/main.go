@@ -43,7 +43,7 @@ func main() {
 	}
 	defer srv.Close()
 
-	client := &proto.Client{Addr: srv.Addr(), Counters: &proto.Counters{}}
+	client := &proto.Client{Addr: srv.Addr()}
 	files, err := client.List()
 	if err != nil {
 		log.Fatal(err)

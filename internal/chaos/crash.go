@@ -18,7 +18,7 @@ import (
 // by printing progress lines; everything else is physics.
 
 // ProgressPrefix is the stdout line prefix a crash-harness child uses
-// to report cumulative received payload bytes ("PROGRESS 1048576").
+// to report its cumulative progress in payload bytes ("PROGRESS 1048576").
 // RunUntilOffset parses these lines to decide when to kill.
 const ProgressPrefix = "PROGRESS "
 

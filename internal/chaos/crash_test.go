@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -41,8 +40,8 @@ func TestMain(m *testing.M) {
 // crashChild is the transfer process under test: plan a verified resume
 // from the journal, report the plan, fetch the gaps while journaling
 // receipts, and remove the journal once the destination proves
-// complete. It reports progress on stdout for RunUntilOffset and is
-// built to be SIGKILLed at any instant.
+// complete. It reports durable progress on stdout for RunUntilOffset
+// and is built to be SIGKILLed at any instant.
 func crashChild() int {
 	addr := os.Getenv(crashAddrEnv)
 	dest := os.Getenv(crashDestEnv)
@@ -56,7 +55,7 @@ func crashChild() int {
 	}
 	jpath := filepath.Join(dest, proto.JournalFileName)
 
-	client := &proto.Client{Addr: addr, Counters: &proto.Counters{}, VerifyChecksums: true}
+	client := &proto.Client{Addr: addr, VerifyChecksums: true}
 	files, err := client.List()
 	if err != nil {
 		return childFail(err)
@@ -85,11 +84,15 @@ func crashChild() int {
 		return childFail(err)
 	}
 	client.Journal = jr
+	stopReport, err := reportDurable(jr)
+	if err != nil {
+		return childFail(err)
+	}
 	ds := proto.NewDirSink(dest)
 	ds.SyncOnClose = true
 	ex := &proto.Executor{
 		Client:      client,
-		Sink:        &progressSink{inner: ds},
+		Sink:        ds,
 		Environment: testEnv(),
 		Resume:      plan,
 		MaxRetries:  4,
@@ -98,6 +101,7 @@ func crashChild() int {
 	if _, err := ex.Run(context.Background(), planForChunk(chunk, 2)); err != nil {
 		return childFail(err)
 	}
+	stopReport()
 	if err := jr.Close(); err != nil {
 		return childFail(fmt.Errorf("journal: %w", err))
 	}
@@ -118,28 +122,52 @@ func childFail(err error) int {
 	return 1
 }
 
-// progressSink forwards to the real DirSink and reports cumulative
-// received bytes for the crash harness. Preallocate must forward too —
-// it is what drops the partial markers recovery keys off.
-type progressSink struct {
-	inner *proto.DirSink
-	mu    sync.Mutex
-	n     int64
+// reportDurable reports the child's progress for the crash harness as
+// the payload bytes whose receipts this run has made durable: after each
+// completed Journal.Sync it sums the receipts in the journal file, less
+// what the file held when the run began. Counting bytes as they are
+// received instead would let the kill land before the group commit has
+// written a single receipt of the run, and the next cycle would plan no
+// less refetch than this one. stop ends the reporting.
+func reportDurable(jr *proto.Journal) (stop func(), err error) {
+	base, err := journaledBytes(jr.Path())
+	if err != nil {
+		return nil, err
+	}
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var last int64
+		for {
+			select {
+			case <-quit:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if jr.Sync() != nil {
+				continue
+			}
+			n, err := journaledBytes(jr.Path())
+			if err != nil || n-base == last {
+				continue
+			}
+			last = n - base
+			fmt.Println(chaos.FormatProgress(last))
+		}
+	}()
+	return func() { close(quit); <-done }, nil
 }
 
-func (s *progressSink) WriteAt(name string, p []byte, off int64) (int, error) {
-	n, err := s.inner.WriteAt(name, p, off)
-	s.mu.Lock()
-	s.n += int64(n)
-	fmt.Println(chaos.FormatProgress(s.n))
-	s.mu.Unlock()
+// journaledBytes sums the payload bytes of the receipts in the journal
+// file at path, up to any torn tail.
+func journaledBytes(path string) (int64, error) {
+	recs, _, err := proto.ReadJournal(path)
+	var n int64
+	for _, r := range recs {
+		n += r.N
+	}
 	return n, err
-}
-
-func (s *progressSink) Close(name string) error { return s.inner.Close(name) }
-
-func (s *progressSink) Preallocate(name string, size int64) error {
-	return s.inner.Preallocate(name, size)
 }
 
 // planLine is the child's parsed PLAN report.
@@ -228,9 +256,9 @@ func TestCrashRecoverySoak(t *testing.T) {
 	})
 	dest := t.TempDir()
 
-	// Each offset is per-run NEW bytes (the child counts what it
-	// receives this run), so every cycle makes durable progress before
-	// dying and the planned refetch must strictly shrink.
+	// Each offset is per-run NEW bytes (the child counts the receipts
+	// this run has made durable), so every cycle makes durable progress
+	// before dying and the planned refetch must strictly shrink.
 	offsets := []int64{768 << 10, 1280 << 10, 1792 << 10}
 	var prev planLine
 	for i, off := range offsets {

@@ -73,7 +73,6 @@ func TestFailoverReplicaKillRestart(t *testing.T) {
 	exec := &proto.Executor{
 		Client: &proto.Client{
 			Endpoints:       pool,
-			Counters:        &proto.Counters{},
 			VerifyChecksums: true,
 			StallTimeout:    200 * time.Millisecond,
 		},
@@ -197,7 +196,6 @@ func TestFailoverDeadReplicaStaysOut(t *testing.T) {
 	exec := &proto.Executor{
 		Client: &proto.Client{
 			Endpoints:       pool,
-			Counters:        &proto.Counters{},
 			VerifyChecksums: true,
 			StallTimeout:    200 * time.Millisecond,
 		},

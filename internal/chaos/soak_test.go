@@ -23,7 +23,6 @@ func chaosExec(t *testing.T, proxyAddr, dir string, reg *obs.Registry, maxRetrie
 	return &proto.Executor{
 		Client: &proto.Client{
 			Addr:            proxyAddr,
-			Counters:        &proto.Counters{},
 			VerifyChecksums: true,
 			StallTimeout:    stall,
 		},

@@ -11,10 +11,9 @@ import (
 	"github.com/didclab/eta/internal/units"
 )
 
-// TestExecutorTwoRunsNoCounterBleed: the client Counters outlive a
-// session (they back /metrics), so Report accounting must subtract the
-// session baseline — a second Run on the same Executor used to report
-// the first run's bytes on top of its own.
+// TestExecutorTwoRunsNoCounterBleed: a second Run on the same Executor
+// must report only its own bytes and files, never the first run's on
+// top of them.
 func TestExecutorTwoRunsNoCounterBleed(t *testing.T) {
 	ds := dataset.NewGenerator(70).Uniform(12, 200*units.KB)
 	exec, sink := newRealExecutor(t, ds, nil)
@@ -32,10 +31,6 @@ func TestExecutorTwoRunsNoCounterBleed(t *testing.T) {
 		if bad := sink.Corrupt(); len(bad) > 0 {
 			t.Errorf("run %d corruption: %v", run, bad)
 		}
-	}
-	// The shared counter keeps the cumulative total across both runs.
-	if got := exec.Client.Counters.Bytes(); got != 2*ds.TotalSize() {
-		t.Errorf("cumulative client counter = %v, want %v", got, 2*ds.TotalSize())
 	}
 }
 
@@ -90,7 +85,7 @@ func TestSequentialResumeSkipsCompleteChunk(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := NewVerifySink()
 	exec := &Executor{
-		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}},
+		Client:      &Client{Addr: srv.Addr()},
 		Sink:        sink,
 		Environment: testEnv(),
 		Resume:      resumeFrom(t, all.Files, have),

@@ -40,7 +40,7 @@ func TestAllocationContract(t *testing.T) {
 		{"sim", func() transfer.Executor { return transfer.NewSim(testbed.DIDCLAB()) }},
 		{"proto", func() transfer.Executor {
 			return &Executor{
-				Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}},
+				Client:      &Client{Addr: srv.Addr()},
 				Sink:        NewVerifySink(),
 				Environment: testEnv(),
 			}

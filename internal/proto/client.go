@@ -18,21 +18,17 @@ import (
 	"github.com/didclab/eta/internal/units"
 )
 
-// Counters aggregates live transfer statistics across channels; the
-// adaptive algorithms sample it to compute window throughput.
-type Counters struct {
-	bytes atomic.Int64
-	files atomic.Int64
-}
+// dialTimeout bounds each TCP dial the client makes.
+const dialTimeout = 10 * time.Second
 
-// AddBytes books received payload bytes.
-func (c *Counters) AddBytes(n int64) { c.bytes.Add(n) }
+// sinkError marks a failure of the destination Sink (WriteAt or
+// Preallocate) so the executor fails the session with the sink's own
+// error instead of blaming the endpoint and re-dialing. It prints and
+// unwraps as the sink's error.
+type sinkError struct{ err error }
 
-// Bytes returns total payload bytes received so far.
-func (c *Counters) Bytes() units.Bytes { return units.Bytes(c.bytes.Load()) }
-
-// Files returns the number of completed files.
-func (c *Counters) Files() int64 { return c.files.Load() }
+func (e sinkError) Error() string { return e.err.Error() }
+func (e sinkError) Unwrap() error { return e.err }
 
 // Client opens transfer channels to one server — or, when Endpoints is
 // set, to a pool of server replicas with channels placed weighted
@@ -48,10 +44,6 @@ type Client struct {
 	// blacklisted out of rotation and probed back in later. Set before
 	// the first OpenChannel.
 	Endpoints *EndpointPool
-	// DialTimeout bounds each TCP dial; 10 s when zero.
-	DialTimeout time.Duration
-	// Counters receives live statistics; optional.
-	Counters *Counters
 	// VerifyChecksums makes every fetched file's content CRC-32C be
 	// recomputed from the received blocks (combined across the striped
 	// streams) and compared with the server's DONE checksum. This is
@@ -191,11 +183,7 @@ func (c *Client) blockSize() int {
 }
 
 func (c *Client) dial(addr string) (net.Conn, error) {
-	timeout := c.DialTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	return net.DialTimeout("tcp", addr, timeout)
+	return net.DialTimeout("tcp", addr, dialTimeout)
 }
 
 // List fetches the file manifest over a throwaway control connection.
@@ -316,6 +304,9 @@ type pendingGet struct {
 	sink     Sink
 	span     *span.Span // issue → settle; nil when untraced
 	received atomic.Int64
+	// session, when set, is the issuing executor session's byte count;
+	// every payload byte this request receives is added to it.
+	session  *atomic.Int64
 	ctrlDone chan struct{} // DONE/ERR line arrived
 	dataDone chan struct{} // all payload bytes arrived
 	crc      uint32
@@ -619,7 +610,7 @@ func (ch *Channel) streamLoop(conn net.Conn) {
 		}
 		//lint:allow bufown Sink.WriteAt's contract forbids retaining p beyond the call (store.go)
 		if _, err := p.sink.WriteAt(p.name, payload, int64(h.Offset)); err != nil {
-			p.abort(err)
+			p.abort(sinkError{err})
 			continue
 		}
 		if ch.client.VerifyChecksums || ch.client.Journal != nil {
@@ -631,8 +622,8 @@ func (ch *Channel) streamLoop(conn net.Conn) {
 			}
 			ch.client.Journal.Append(p.name, int64(h.Offset), int64(h.Length), c)
 		}
-		if ch.client.Counters != nil {
-			ch.client.Counters.AddBytes(int64(h.Length))
+		if p.session != nil {
+			p.session.Add(int64(h.Length))
 		}
 		ch.inst.bytesReceived.Add(int64(h.Length))
 		ssp.AddBytes(int64(h.Length))
@@ -666,7 +657,8 @@ func (ch *Channel) failAll(err error) {
 }
 
 // get issues one pipelined ranged GET and returns its pending handle.
-func (ch *Channel) get(r FileRange, sink Sink) (*pendingGet, error) {
+// Received payload bytes are added to session when it is non-nil.
+func (ch *Channel) get(r FileRange, sink Sink, session *atomic.Int64) (*pendingGet, error) {
 	ch.mu.Lock()
 	if ch.readErr != nil {
 		err := ch.readErr
@@ -681,6 +673,7 @@ func (ch *Channel) get(r FileRange, sink Sink) (*pendingGet, error) {
 		length:   int64(r.Remaining()),
 		issued:   time.Now(),
 		sink:     sink,
+		session:  session,
 		ctrlDone: make(chan struct{}),
 		dataDone: make(chan struct{}),
 	}
@@ -701,7 +694,7 @@ func (ch *Channel) get(r FileRange, sink Sink) (*pendingGet, error) {
 		if err := pa.Preallocate(p.name, int64(r.File.Size)); err != nil {
 			ch.release(p)
 			p.span.End("error", err.Error())
-			return nil, err
+			return nil, sinkError{err}
 		}
 	}
 
@@ -783,7 +776,7 @@ func (ch *Channel) FetchRanges(ranges []FileRange, pipelining int, sink Sink) (F
 	next := 0
 	for next < len(ranges) || len(window) > 0 {
 		for len(window) < pipelining && next < len(ranges) {
-			p, err := ch.get(ranges[next], sink)
+			p, err := ch.get(ranges[next], sink, nil)
 			if err != nil {
 				return result, err
 			}
@@ -802,9 +795,6 @@ func (ch *Channel) FetchRanges(ranges []FileRange, pipelining int, sink Sink) (F
 		result.Files++
 		result.Bytes += units.Bytes(p.length)
 		ch.inst.filesCompleted.Inc()
-		if ch.client.Counters != nil {
-			ch.client.Counters.files.Add(1)
-		}
 	}
 	return result, nil
 }

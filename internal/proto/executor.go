@@ -29,8 +29,7 @@ func (zeroEnergy) Total() (units.Joules, error) { return 0, nil }
 // implementing the same contract the simulator does — so MinE, HTEE
 // and SLAEE drive real sockets unchanged.
 type Executor struct {
-	// Client connects to the server; its Counters field is managed by
-	// the executor.
+	// Client connects to the server.
 	Client *Client
 	// Sink receives the payload.
 	Sink Sink
@@ -45,10 +44,11 @@ type Executor struct {
 	// Sink.Close, marker lift, files counter — only when its LAST range
 	// settles.
 	Resume *RecoveryPlan
-	// MaxRetries is how many times a file transfer is re-attempted
-	// after a transport failure (the channel is re-dialed each time),
-	// and how many times a failed re-dial itself is re-attempted.
-	// Zero means failures are fatal.
+	// MaxRetries is how many times a range is re-attempted after a
+	// checksum mismatch (on the same channel) or a channel failure (the
+	// channel is re-dialed), and how many failed re-dials one worker
+	// rides out. Sink errors are never retried. Zero means failures are
+	// fatal.
 	MaxRetries int
 	// Label names the algorithm in reports.
 	Label string
@@ -110,9 +110,6 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 	if energy == nil {
 		energy = zeroEnergy{}
 	}
-	if e.Client.Counters == nil {
-		e.Client.Counters = &Counters{}
-	}
 	if e.Client.Metrics == nil {
 		e.Client.Metrics = e.Metrics
 	}
@@ -132,11 +129,6 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 		inst:     newExecInstruments(e.Metrics),
 		events:   e.Events,
 		fileRefs: make(map[string]int),
-		// The client's Counters outlive any one session (they back the
-		// /metrics byte totals), so Report accounting subtracts this
-		// baseline instead of reading the shared counter raw — a second
-		// Run on the same Executor must not report the first run's bytes.
-		baseBytes: e.Client.Counters.Bytes(),
 	}
 	// Prime the energy source so the first window is measured, and seed
 	// the tracer's online energy estimator with the primed total so the
@@ -334,13 +326,14 @@ type realSession struct {
 	// duration of the transfer, not of its own patience. Readers
 	// synchronize through <-doneCh.
 	doneAt time.Time
-	// baseBytes is Client.Counters.Bytes() at Start; see Start.
-	baseBytes units.Bytes
 
 	inst    execInstruments
 	events  *obs.Log
 	retries atomic.Int64
 	files   atomic.Int64
+	// received counts the payload bytes this session's GETs received,
+	// retried ones included.
+	received atomic.Int64
 
 	// root is the transfer's root span (nil when untraced); spansOnce
 	// makes endSpans idempotent across the Start-failure and Finish
@@ -354,12 +347,13 @@ type realSession struct {
 	samples    []transfer.Sample
 }
 
-// retryConsumed books one unit of retry budget: a failed GET, a window
-// requeue after a transport error, or a failed re-dial attempt. Each
-// consumption is also a point span (begin and end at the same instant)
-// so the flight recorder can place every retry on the timeline by
-// cause.
-func (s *realSession) retryConsumed(cause, file string, attempt int, err error) {
+// retryConsumed books one unit of retry budget, labelled causeOf(err):
+// a range charged by the worker's failure rule, or a failed re-dial
+// attempt (file ""). Each consumption is also a point span (begin and
+// end at the same instant) so the flight recorder can place every retry
+// on the timeline by cause.
+func (s *realSession) retryConsumed(file string, attempt int, err error) {
+	cause := causeOf(err)
 	s.retries.Add(1)
 	s.inst.retriesTotal.Inc()
 	s.inst.retriesByCause.With(cause).Inc()
@@ -435,10 +429,9 @@ func (s *realSession) reconcile(targets []int) error {
 	return nil
 }
 
-// runWorker pumps files from the worker's chunk through its channel,
-// keeping the chunk's pipelining depth of GETs outstanding. Transport
-// failures requeue the outstanding ranges and re-dial the channel, up
-// to the executor's retry budget per range.
+// runWorker pumps ranges from the worker's chunk through its channel,
+// keeping the chunk's pipelining depth of GETs outstanding. Every failed
+// GET, at issue or at settle, goes through one rule: onFailure.
 func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 	type inflight struct {
 		p *pendingGet
@@ -455,46 +448,17 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 		}
 	}()
 
-	// requeueWindow sends every outstanding range back for another
-	// attempt (or fails the session when one is out of retries).
-	requeueWindow := func(cause error) bool {
-		ok := true
-		for _, f := range window {
-			f.q.attempts++
-			s.retryConsumed(causeOf(cause), f.q.r.File.Name, f.q.attempts, cause)
-			if f.q.attempts > s.exec.MaxRetries {
-				ok = false
-				continue
-			}
-			w.chunk.requeue(f.q)
-		}
-		window = window[:0]
-		return ok
-	}
 	// redial replaces a broken channel. A transient OpenChannel failure
-	// does not fail the session while retry budget remains: each failed
-	// attempt consumes one unit of the budget and the next attempt waits
-	// a capped exponential backoff, so the worker rides out short
-	// listener outages.
+	// does not fail the session while the worker's own budget remains:
+	// each failed attempt books one retry and the next attempt waits a
+	// capped exponential backoff, so the worker rides out short listener
+	// outages.
 	redial := func(cause error) bool {
-		// A channel-fatal error (stall, transport, broken control stream)
-		// counts against the endpoint the channel was placed on, so a
-		// dying replica drops out of rotation and the replacement channel
-		// lands on a healthy one. Checksum failures never reach here —
-		// they re-fetch on the same channel without blaming the endpoint.
-		s.exec.Client.pool().ReportFailure(ch.Endpoint(), cause)
-		ch.Close()
-		ch = nil
 		// The redial span covers the whole backoff loop: its duration is
 		// the worker's dead time, the interval a tuner would read as
 		// "bytes stalled on recovery".
 		rsp := s.root.Child(span.NameChannelRedial,
 			"chunk", w.chunk.idx, "cause", fmt.Sprint(cause))
-		if !requeueWindow(cause) {
-			s.fail(fmt.Errorf("proto: transfer failed after %d retries: %w", s.exec.MaxRetries, cause))
-			rsp.End("error", "retry budget exhausted")
-			return false
-		}
 		backoff := 5 * time.Millisecond
 		for {
 			next, err := s.exec.Client.OpenChannel(w.chunk.plan.Parallelism())
@@ -511,7 +475,7 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 				return true
 			}
 			w.redials++
-			s.retryConsumed("redial", "", w.redials, err)
+			s.retryConsumed("", w.redials, err)
 			if w.redials > s.exec.MaxRetries {
 				s.fail(fmt.Errorf("proto: re-dialing after %v: %w", cause, err))
 				rsp.End("error", err.Error())
@@ -534,29 +498,59 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 			}
 		}
 	}
-	// settle waits for the oldest request; a failure triggers the
-	// retry path and reports whether the worker should continue.
+	// onFailure is the worker's one failure rule for err, raised by the
+	// GET of q; it reports whether the worker carries on.
+	//   - A sink error (WriteAt, Preallocate) fails the session with the
+	//     sink's error, as a Sink.Close error does: the destination is
+	//     at fault, so no retry is spent and no endpoint blamed.
+	//   - A checksum mismatch means the bytes and the DONE line both
+	//     arrived: the channel is healthy, the content is not. q alone
+	//     is charged and re-fetched on the same channel.
+	//   - Anything else (stall, transport, broken control stream) is
+	//     channel-fatal. It counts against the channel's endpoint, so a
+	//     dying replica drops out of rotation and the replacement lands
+	//     on a healthy one; q and the whole window are charged and
+	//     requeued, and the channel is re-dialed.
+	onFailure := func(err error, q queuedRange) bool {
+		var se sinkError
+		if errors.As(err, &se) {
+			s.fail(se.err)
+			return false
+		}
+		failed := []queuedRange{q}
+		keep := errors.Is(err, ErrChecksumMismatch)
+		if !keep {
+			s.exec.Client.pool().ReportFailure(ch.Endpoint(), err)
+			ch.Close()
+			ch = nil
+			for _, f := range window {
+				failed = append(failed, f.q)
+			}
+			window = window[:0]
+		}
+		exhausted := false
+		for _, f := range failed {
+			f.attempts++
+			s.retryConsumed(f.r.File.Name, f.attempts, err)
+			if f.attempts > s.exec.MaxRetries {
+				exhausted = true
+				continue
+			}
+			w.chunk.requeue(f)
+		}
+		if exhausted {
+			s.fail(fmt.Errorf("proto: transfer failed after %d retries: %w", s.exec.MaxRetries, err))
+			return false
+		}
+		return keep || redial(err)
+	}
+	// settle waits for the oldest request and reports whether the
+	// worker should continue.
 	settle := func() bool {
 		f := window[0]
 		window = window[1:]
 		if err := ch.finish(f.p); err != nil {
-			if errors.Is(err, ErrChecksumMismatch) {
-				// The bytes and the DONE line both arrived — the channel
-				// is healthy, the content is not. Re-fetch just this file
-				// against the retry budget instead of tearing the channel
-				// down (the re-write covers the corrupt range).
-				f.q.attempts++
-				s.retryConsumed(causeOf(err), f.q.r.File.Name, f.q.attempts, err)
-				if f.q.attempts > s.exec.MaxRetries {
-					s.fail(fmt.Errorf("proto: %s still corrupt after %d retries: %w",
-						f.q.r.File.Name, s.exec.MaxRetries, err))
-					return false
-				}
-				w.chunk.requeue(f.q)
-				return true
-			}
-			window = append([]inflight{f}, window...)
-			return redial(err)
+			return onFailure(err, f.q)
 		}
 		// Finalize the file only when its LAST planned range settled:
 		// closing earlier would lift the partial marker (and bump the
@@ -567,7 +561,6 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 				return false
 			}
 			s.files.Add(1)
-			s.exec.Client.Counters.files.Add(1)
 			s.exec.Client.instruments().filesCompleted.Inc()
 		}
 		s.addCompleted(units.Bytes(f.p.length))
@@ -600,16 +593,9 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 			if !ok {
 				break
 			}
-			p, err := ch.get(q.r, s.exec.Sink)
+			p, err := ch.get(q.r, s.exec.Sink, &s.received)
 			if err != nil {
-				q.attempts++
-				s.retryConsumed("get", q.r.File.Name, q.attempts, err)
-				if q.attempts > s.exec.MaxRetries {
-					s.fail(fmt.Errorf("proto: issuing GET failed after %d retries: %w", s.exec.MaxRetries, err))
-					return
-				}
-				w.chunk.requeue(q)
-				if !redial(err) {
+				if !onFailure(err, q) {
 					return
 				}
 				continue
@@ -752,10 +738,9 @@ func (s *realSession) Advance(d time.Duration) (transfer.Sample, error) {
 	return sample, nil
 }
 
-// sessionBytes is how many payload bytes THIS session has received: the
-// shared client counter minus the session's starting baseline.
+// sessionBytes is how many payload bytes this session has received.
 func (s *realSession) sessionBytes() units.Bytes {
-	return s.exec.Client.Counters.Bytes() - s.baseBytes
+	return units.Bytes(s.received.Load())
 }
 
 func (s *realSession) err() error {

@@ -30,7 +30,7 @@ func newRealExecutor(t *testing.T, ds dataset.Dataset, mutate func(*ServerConfig
 	srv := synthServer(t, ds, mutate)
 	sink := NewVerifySink()
 	exec := &Executor{
-		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}},
+		Client:      &Client{Addr: srv.Addr()},
 		Sink:        sink,
 		Environment: testEnv(),
 		Label:       "test",

@@ -27,7 +27,7 @@ func TestObsLoopbackCountersMatchReport(t *testing.T) {
 	var journal bytes.Buffer
 	events := obs.NewLog(&journal)
 	exec := &Executor{
-		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}, VerifyChecksums: true},
+		Client:      &Client{Addr: srv.Addr(), VerifyChecksums: true},
 		Sink:        NewVerifySink(),
 		Environment: testEnv(),
 		Metrics:     reg,

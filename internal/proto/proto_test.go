@@ -149,8 +149,7 @@ func TestListMatchesStore(t *testing.T) {
 func TestFetchIntegritySingleStream(t *testing.T) {
 	ds := dataset.NewGenerator(2).ManySmall(10, 10*units.KB, 200*units.KB)
 	srv := synthServer(t, ds, nil)
-	counters := &Counters{}
-	client := &Client{Addr: srv.Addr(), Counters: counters}
+	client := &Client{Addr: srv.Addr()}
 	ch, err := client.OpenChannel(1)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +166,10 @@ func TestFetchIntegritySingleStream(t *testing.T) {
 	if bad := sink.Corrupt(); len(bad) > 0 {
 		t.Errorf("corrupted ranges: %v", bad)
 	}
-	if counters.Bytes() != ds.TotalSize() || counters.Files() != 10 {
-		t.Errorf("counters: %v bytes %d files", counters.Bytes(), counters.Files())
+	for _, f := range ds.Files {
+		if got := sink.BytesFor(f.Name); got != int64(f.Size) {
+			t.Errorf("%s: %d of %d bytes", f.Name, got, f.Size)
+		}
 	}
 }
 
@@ -199,7 +200,7 @@ func TestFetchIntegrityStriped(t *testing.T) {
 func TestConcurrentChannels(t *testing.T) {
 	ds := dataset.NewGenerator(4).ManySmall(40, 50*units.KB, 300*units.KB)
 	srv := synthServer(t, ds, nil)
-	client := &Client{Addr: srv.Addr(), Counters: &Counters{}}
+	client := &Client{Addr: srv.Addr()}
 	sink := NewVerifySink()
 
 	const channels = 4
@@ -228,8 +229,10 @@ func TestConcurrentChannels(t *testing.T) {
 	if bad := sink.Corrupt(); len(bad) > 0 {
 		t.Errorf("concurrent transfer corrupted: %v", bad)
 	}
-	if got := client.Counters.Bytes(); got != ds.TotalSize() {
-		t.Errorf("moved %v, want %v", got, ds.TotalSize())
+	for _, f := range ds.Files {
+		if got := sink.BytesFor(f.Name); got != int64(f.Size) {
+			t.Errorf("%s: moved %d of %d bytes", f.Name, got, f.Size)
+		}
 	}
 }
 
@@ -374,7 +377,7 @@ func TestOpenChannelValidation(t *testing.T) {
 	if _, err := client.OpenChannel(0); err == nil {
 		t.Error("parallelism 0 accepted")
 	}
-	bad := &Client{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}
+	bad := &Client{Addr: "127.0.0.1:1"}
 	if _, err := bad.OpenChannel(1); err == nil {
 		t.Error("dial to dead port succeeded")
 	}

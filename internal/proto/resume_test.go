@@ -182,7 +182,7 @@ func TestRealExecutorResume(t *testing.T) {
 		ds.Files[1].Name: 50 * units.KB,  // partial
 	})
 	exec := &Executor{
-		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}, VerifyChecksums: true},
+		Client:      &Client{Addr: srv.Addr(), VerifyChecksums: true},
 		Sink:        NewVerifySink(),
 		Environment: testEnv(),
 		Resume:      resume,
@@ -206,7 +206,7 @@ func TestRealExecutorFullyResumed(t *testing.T) {
 		ds.Files[1].Name: 10 * units.KB,
 	})
 	exec := &Executor{
-		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}},
+		Client:      &Client{Addr: srv.Addr()},
 		Sink:        NewVerifySink(),
 		Environment: testEnv(),
 		Resume:      resume,

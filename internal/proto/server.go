@@ -55,9 +55,6 @@ type ServerConfig struct {
 	// cache only activates for stores implementing Versioner; disabling
 	// it forces every serve to re-hash payload bytes.
 	DisableCRCCache bool
-	// DataDialTimeout bounds how long OPEN waits for the client's data
-	// connections to arrive.
-	DataDialTimeout time.Duration
 	// StallTimeout bounds every control and data write: a client that
 	// stops draining its sockets (black-holed, frozen, or gone without
 	// a reset) turns into a write timeout instead of a goroutine parked
@@ -84,12 +81,9 @@ func (c ServerConfig) maxBatchBlocks() int {
 	return 8
 }
 
-func (c ServerConfig) dialTimeout() time.Duration {
-	if c.DataDialTimeout > 0 {
-		return c.DataDialTimeout
-	}
-	return 10 * time.Second
-}
+// dataDialTimeout bounds how long OPEN waits for the client's data
+// connections to arrive.
+const dataDialTimeout = 10 * time.Second
 
 func (c ServerConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -480,7 +474,7 @@ func (s *Server) runControl(conn net.Conn, br *bufio.Reader) {
 				sess.send("%s bad stream count %q\n", respErr, fields[0])
 				continue
 			}
-			if err := sess.waitForStreams(n, s.cfg.dialTimeout()); err != nil {
+			if err := sess.waitForStreams(n, dataDialTimeout); err != nil {
 				sess.send("%s %v\n", respErr, err)
 				continue
 			}

@@ -358,57 +358,6 @@ func (s *DirSink) Close(name string) error {
 	return f.Close()
 }
 
-// completionSink wraps a Sink fetched through multiple ranges of the
-// same file so the inner Close — which finalizes the file and lifts its
-// partial marker — happens only once, after the LAST planned range
-// closes. Closing per range would lift the marker while sibling ranges
-// are still in flight, opening a corruption window on a crash.
-type completionSink struct {
-	inner Sink
-	mu    sync.Mutex
-	left  map[string]int
-}
-
-// NewCompletionSink wraps inner for a multi-range fetch: Close(name)
-// reaches inner only on the call closing name's last planned range.
-// Names outside ranges pass through directly.
-func NewCompletionSink(inner Sink, ranges []FileRange) Sink {
-	left := make(map[string]int)
-	for _, r := range ranges {
-		left[r.File.Name]++
-	}
-	return &completionSink{inner: inner, left: left}
-}
-
-// WriteAt implements Sink.
-func (s *completionSink) WriteAt(name string, p []byte, off int64) (int, error) {
-	return s.inner.WriteAt(name, p, off)
-}
-
-// Close implements Sink.
-func (s *completionSink) Close(name string) error {
-	s.mu.Lock()
-	n, tracked := s.left[name]
-	if tracked {
-		n--
-		s.left[name] = n
-	}
-	s.mu.Unlock()
-	if tracked && n > 0 {
-		return nil
-	}
-	return s.inner.Close(name)
-}
-
-// Preallocate implements Preallocator by forwarding when the inner sink
-// supports it.
-func (s *completionSink) Preallocate(name string, size int64) error {
-	if pa, ok := s.inner.(Preallocator); ok {
-		return pa.Preallocate(name, size)
-	}
-	return nil
-}
-
 // VerifySink discards payload but verifies every byte against the
 // synthetic generator — the zero-disk way to exercise the full protocol
 // path with end-to-end integrity checking.

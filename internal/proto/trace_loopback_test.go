@@ -58,7 +58,7 @@ func TestTracedLoopback(t *testing.T) {
 	})
 	energy := &fakeModelEnergy{start: time.Now(), watts: 42, log: events}
 	exec := &Executor{
-		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}, VerifyChecksums: true},
+		Client:      &Client{Addr: srv.Addr(), VerifyChecksums: true},
 		Sink:        NewVerifySink(),
 		Energy:      energy,
 		Environment: testEnv(),
