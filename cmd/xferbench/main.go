@@ -41,23 +41,22 @@ func main() {
 	parallelism := flag.Int("parallelism", 1, "fixed parallelism when sweeping another parameter")
 	pipelining := flag.Int("pipelining", 2, "fixed pipelining when sweeping another parameter")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
-	eventsOut := flag.String("events", "", "append the JSONL event log to this file as the sweep runs")
 	stallTimeout := flag.Duration("stall-timeout", 0, "fail a channel whose pending requests see no bytes for this long (0 disables the watchdog)")
 	block := flag.Int("block", proto.DefaultBlockSize, "expected server block size in bytes (sizes stream read buffers)")
 	dest := flag.String("dest", "", "write received files into this directory (DirSink) instead of discarding payload")
 	journal := flag.Bool("journal", false, "with -dest: keep a crash-safe block-receipt journal in the destination and resume via verified recovery — each point fetches only what is still missing")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "journal group-commit fsync interval (0 = 25ms default, negative = fsync every append)")
-	traceOut := flag.String("trace", "", "record the JSONL event stream with client-side spans to this file (replay with xfertrace); extends -events with span_begin/span_end")
+	traceOut := flag.String("trace", "", "record the JSONL event stream with client-side spans to this file (replay with xfertrace)")
 	pprofAddr := flag.String("pprof", "", "serve /metrics, /events, /spans and /debug/pprof/ on this address while the sweep runs")
 	flag.Parse()
 
-	if err := run(*server, *addrs, *sweep, *valuesStr, *perPoint, *concurrency, *parallelism, *pipelining, *metricsOut, *eventsOut, *traceOut, *pprofAddr, *stallTimeout, *block, *dest, *journal, *fsyncInterval); err != nil {
+	if err := run(*server, *addrs, *sweep, *valuesStr, *perPoint, *concurrency, *parallelism, *pipelining, *metricsOut, *traceOut, *pprofAddr, *stallTimeout, *block, *dest, *journal, *fsyncInterval); err != nil {
 		fmt.Fprintln(os.Stderr, "xferbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(server, addrs, sweep, valuesStr, perPointStr string, conc, par, pipe int, metricsOut, eventsOut, traceOut, pprofAddr string, stallTimeout time.Duration, block int, dest string, journal bool, fsyncInterval time.Duration) error {
+func run(server, addrs, sweep, valuesStr, perPointStr string, conc, par, pipe int, metricsOut, traceOut, pprofAddr string, stallTimeout time.Duration, block int, dest string, journal bool, fsyncInterval time.Duration) error {
 	values, err := parseValues(valuesStr)
 	if err != nil {
 		return err
@@ -65,9 +64,6 @@ func run(server, addrs, sweep, valuesStr, perPointStr string, conc, par, pipe in
 	perPoint, err := cliutil.ParseSize(perPointStr)
 	if err != nil {
 		return err
-	}
-	if traceOut != "" && eventsOut != "" {
-		return fmt.Errorf("-trace and -events both record the event stream; pick one file")
 	}
 
 	client := &proto.Client{Addr: server, StallTimeout: stallTimeout, BlockSize: block}
@@ -82,20 +78,18 @@ func run(server, addrs, sweep, valuesStr, perPointStr string, conc, par, pipe in
 		}
 		client.Endpoints = pool
 	}
-	if metricsOut != "" || eventsOut != "" || traceOut != "" || pprofAddr != "" {
+	if metricsOut != "" || traceOut != "" || pprofAddr != "" {
 		reg := obs.NewRegistry()
-		var events *obs.Log
-		if streamOut := eventsOut + traceOut; streamOut != "" { // at most one is set
-			f, err := os.Create(streamOut)
+		events := obs.NewLog(nil)
+		if traceOut != "" {
+			f, err := os.Create(traceOut)
 			if err != nil {
-				return fmt.Errorf("event stream: %w", err)
+				return fmt.Errorf("-trace: %w", err)
 			}
 			// The buffered log owns f: its deferred Close flushes the
 			// tail of the event stream before closing the file.
 			events = obs.NewBufferedLog(f, 0)
 			defer events.Close()
-		} else {
-			events = obs.NewLog(nil)
 		}
 		client.Metrics = reg
 		client.Events = events

@@ -54,16 +54,16 @@ func TestRunSweepTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := run(srv.Addr(), "", "concurrency", "1,2", "400KB", 1, 1, 2, "", "", "", "", 0, 0, "", false, 0); err != nil {
+	if err := run(srv.Addr(), "", "concurrency", "1,2", "400KB", 1, 1, 2, "", "", "", 0, 0, "", false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(srv.Addr(), "", "bogus", "1", "400KB", 1, 1, 2, "", "", "", "", 0, 0, "", false, 0); err == nil {
+	if err := run(srv.Addr(), "", "bogus", "1", "400KB", 1, 1, 2, "", "", "", 0, 0, "", false, 0); err == nil {
 		t.Error("unknown sweep parameter accepted")
 	}
-	if err := run("127.0.0.1:1", "", "concurrency", "1", "400KB", 1, 1, 2, "", "", "", "", 0, 0, "", false, 0); err == nil {
+	if err := run("127.0.0.1:1", "", "concurrency", "1", "400KB", 1, 1, 2, "", "", "", 0, 0, "", false, 0); err == nil {
 		t.Error("dead server accepted")
 	}
-	if err := run(srv.Addr(), "", "concurrency", "1", "400KB", 1, 1, 2, "", "", "", "", 0, 0, "", true, 0); err == nil {
+	if err := run(srv.Addr(), "", "concurrency", "1", "400KB", 1, 1, 2, "", "", "", 0, 0, "", true, 0); err == nil {
 		t.Error("-journal without -dest accepted")
 	}
 }
@@ -81,10 +81,10 @@ func TestRunMultiEndpoint(t *testing.T) {
 	}
 	defer srvB.Close()
 	addrs := srvA.Addr() + "=2," + srvB.Addr()
-	if err := run("ignored:0", addrs, "concurrency", "2", "400KB", 1, 1, 2, "", "", "", "", 0, 0, "", false, 0); err != nil {
+	if err := run("ignored:0", addrs, "concurrency", "2", "400KB", 1, 1, 2, "", "", "", 0, 0, "", false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("ignored:0", "not-an-endpoint-list=", "concurrency", "1", "400KB", 1, 1, 2, "", "", "", "", 0, 0, "", false, 0); err == nil {
+	if err := run("ignored:0", "not-an-endpoint-list=", "concurrency", "1", "400KB", 1, 1, 2, "", "", "", 0, 0, "", false, 0); err == nil {
 		t.Error("malformed -addrs accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestRunJournalModeDeliversAndRetires(t *testing.T) {
 	defer srv.Close()
 	dest := t.TempDir()
 	for i := 0; i < 2; i++ {
-		if err := run(srv.Addr(), "", "concurrency", "1", "2MB", 1, 1, 2, "", "", "", "", 0, 0, dest, true, -1); err != nil {
+		if err := run(srv.Addr(), "", "concurrency", "1", "2MB", 1, 1, 2, "", "", "", 0, 0, dest, true, -1); err != nil {
 			t.Fatalf("journal run %d: %v", i, err)
 		}
 	}
@@ -131,7 +131,7 @@ func TestRunDumpsMetricsAndEvents(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
 	events := filepath.Join(dir, "events.jsonl")
-	if err := run(srv.Addr(), "", "concurrency", "1", "300KB", 1, 1, 2, metrics, events, "", "", 2*time.Second, proto.DefaultBlockSize, "", false, 0); err != nil {
+	if err := run(srv.Addr(), "", "concurrency", "1", "300KB", 1, 1, 2, metrics, events, "", 2*time.Second, proto.DefaultBlockSize, "", false, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,7 +157,7 @@ func TestRunDumpsMetricsAndEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	lines := 0
+	lines, transfers := 0, 0
 	for sc := bufio.NewScanner(f); sc.Scan(); lines++ {
 		var ev map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
@@ -168,8 +168,14 @@ func TestRunDumpsMetricsAndEvents(t *testing.T) {
 				t.Fatalf("event line %d missing %q: %s", lines, key, sc.Text())
 			}
 		}
+		if ev["type"] == "span_end" && ev["name"] == "transfer" {
+			transfers++
+		}
 	}
 	if lines == 0 {
 		t.Error("event log is empty")
+	}
+	if transfers != 1 {
+		t.Errorf("%d transfer spans in the trace, want 1 (one sweep point)", transfers)
 	}
 }

@@ -13,9 +13,9 @@
 // Schedules are either written by hand (when a test needs a fault at a
 // precise stream offset, e.g. inside a block payload rather than its
 // header) or generated from a seed with SeededSchedule. Every injected
-// fault is emitted as an obs event (fault_injected) and counted in a
-// chaos_faults_injected metric family, so chaos runs are replayable and
-// auditable after the fact.
+// fault is counted in a chaos_faults_injected metric family and, when
+// the proxy has a tracer, recorded as a chaos_fault span, so chaos runs
+// are replayable and auditable after the fact.
 //
 // The package deliberately depends on nothing but the standard library
 // and internal/obs (scripts/lint.sh audits this), sits in the nodeterm

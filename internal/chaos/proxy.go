@@ -24,13 +24,12 @@ type Options struct {
 	// consumed per target connection in (Conn, At) order; steps left
 	// behind on a connection that died early never fire.
 	Schedule []Step
-	// Events receives one fault_injected event per injected fault;
-	// optional.
-	Events *obs.Log
 	// Metrics receives the chaos_faults_injected{kind} counter family;
 	// optional.
 	Metrics *obs.Registry
-	// Trace, when set, roots one chaos_fault span per injected fault.
+	// Trace, when set, roots one chaos_fault span per injected fault,
+	// carrying its kind, connection, schedule offset, stream offset and
+	// scripted duration; that span is the proxy's only event output.
 	// Instant faults (reset, corrupt, partial) are point spans; stalls,
 	// black-holes and outages span the interval the fault held the
 	// connection (or listener) down, so the flight recorder can overlay
@@ -46,7 +45,6 @@ type Options struct {
 type Proxy struct {
 	backend  string
 	listenAt string
-	events   *obs.Log
 	faults   *obs.Family
 	trace    *span.Tracer
 
@@ -106,7 +104,6 @@ func New(backend string, opts Options) (*Proxy, error) {
 	p := &Proxy{
 		backend:  backend,
 		listenAt: ln.Addr().String(),
-		events:   opts.Events,
 		faults:   opts.Metrics.Family("chaos_faults_injected", "kind"),
 		trace:    opts.Trace,
 		done:     make(chan struct{}),
@@ -359,7 +356,7 @@ func (p *Proxy) beginOutage(d time.Duration, fsp *span.Span) {
 	}()
 }
 
-// record books one injected fault in the counters, metrics and journal,
+// record books one injected fault in the counters and metrics,
 // and opens its chaos_fault span (nil when untraced); the caller ends
 // it when the fault's effect has run its course.
 func (p *Proxy) record(pr *pair, st Step, off int64) *span.Span {
@@ -367,13 +364,10 @@ func (p *Proxy) record(pr *pair, st Step, off int64) *span.Span {
 	p.injected[st.Kind]++
 	p.mu.Unlock()
 	p.faults.With(string(st.Kind)).Inc()
-	fsp := p.trace.Root(span.NameChaosFault,
-		"kind", string(st.Kind), "conn", pr.idx, "at", st.At)
-	p.events.Emit(obs.EvFaultInjected,
+	return p.trace.Root(span.NameChaosFault,
 		"kind", string(st.Kind),
 		"conn", pr.idx,
 		"at", st.At,
 		"stream_off", off,
 		"duration_ms", st.Duration.Milliseconds())
-	return fsp
 }

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/didclab/eta/internal/chaos"
 	"github.com/didclab/eta/internal/obs"
+	"github.com/didclab/eta/internal/obs/span"
 )
 
 // wallNow reads the real clock. The chaos *package* is deterministic
@@ -98,7 +98,7 @@ func TestProxyCorruptFlipsExactlyOneByte(t *testing.T) {
 	proxy := newProxy(t, backend, chaos.Options{
 		Schedule: []chaos.Step{{Conn: 0, At: target, Kind: chaos.Corrupt}},
 		Metrics:  reg,
-		Events:   obs.NewLog(&events),
+		Trace:    span.NewTracer(nil, obs.NewLog(&events)),
 	})
 	got := readThrough(t, proxy.Addr())
 	want := pattern(size)
@@ -120,8 +120,19 @@ func TestProxyCorruptFlipsExactlyOneByte(t *testing.T) {
 	if got := reg.Snapshot().Counters[`chaos_faults_injected{kind="corrupt"}`]; got != 1 {
 		t.Errorf(`chaos_faults_injected{kind="corrupt"} = %d, want 1`, got)
 	}
-	if !strings.Contains(events.String(), `"type":"fault_injected"`) {
-		t.Errorf("no fault_injected event emitted: %s", events.String())
+	forest, err := span.ReadForest(bytes.NewReader(events.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var faults []*span.Record
+	for _, rec := range forest.ByID {
+		if rec.Name == span.NameChaosFault {
+			faults = append(faults, rec)
+		}
+	}
+	if len(faults) != 1 || faults[0].Open || faults[0].Attrs["kind"] != string(chaos.Corrupt) ||
+		faults[0].Attrs["at"] != float64(target) || faults[0].Attrs["stream_off"] == nil {
+		t.Fatalf("want one closed chaos_fault span with kind=corrupt at %d, got %d: %s", target, len(faults), events.String())
 	}
 }
 

@@ -129,7 +129,6 @@ func TestChaosAcceptance(t *testing.T) {
 			{Conn: 3, At: 900_000, Kind: chaos.Outage, Duration: 250 * time.Millisecond},
 		},
 		Metrics: reg,
-		Events:  obs.NewLog(nil),
 	})
 	dir := t.TempDir()
 	exec := chaosExec(t, proxy.Addr(), dir, reg, 16, 150*time.Millisecond)
@@ -241,7 +240,6 @@ func TestChaosSoakSeededSchedule(t *testing.T) {
 	proxy := newProxy(t, srv.Addr(), chaos.Options{
 		Schedule: schedule,
 		Metrics:  reg,
-		Events:   obs.NewLog(nil),
 	})
 	dir := t.TempDir()
 	exec := chaosExec(t, proxy.Addr(), dir, reg, 32, 200*time.Millisecond)
@@ -280,7 +278,6 @@ func TestChaosSoakVectoredPath(t *testing.T) {
 	proxy := newProxy(t, srv.Addr(), chaos.Options{
 		Schedule: schedule,
 		Metrics:  reg,
-		Events:   obs.NewLog(nil),
 	})
 	dir := t.TempDir()
 	exec := chaosExec(t, proxy.Addr(), dir, reg, 32, 200*time.Millisecond)
@@ -362,7 +359,6 @@ func TestChaosSoakSendfilePath(t *testing.T) {
 	proxy := newProxy(t, srv.Addr(), chaos.Options{
 		Schedule: schedule,
 		Metrics:  reg,
-		Events:   obs.NewLog(nil),
 	})
 	dir := t.TempDir()
 	exec := chaosExec(t, proxy.Addr(), dir, reg, 32, 200*time.Millisecond)

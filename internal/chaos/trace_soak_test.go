@@ -53,7 +53,6 @@ func TestChaosSoakTracedSpans(t *testing.T) {
 			{Conn: 3, At: 150_000, Kind: chaos.Corrupt},
 		},
 		Metrics: reg,
-		Events:  events,
 		Trace:   tracer,
 	})
 	dir := t.TempDir()

@@ -5,6 +5,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -29,10 +30,13 @@ func ParseSize(s string) (units.Bytes, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(u), 64)
-	if err != nil || v < 0 {
+	n := v * float64(mult)
+	// !(v >= 0) also rejects NaN; 2^63 and above (Inf included) would
+	// overflow the int64 conversion.
+	if err != nil || !(v >= 0) || n >= math.MaxInt64 {
 		return 0, fmt.Errorf("cliutil: bad size %q", s)
 	}
-	return units.Bytes(v * float64(mult)), nil
+	return units.Bytes(n), nil
 }
 
 // ParseRate reads "800mbps"-style data rates; the empty string parses
@@ -43,7 +47,6 @@ func ParseRate(s string) (units.Rate, error) {
 	}
 	u := strings.ToLower(strings.TrimSpace(s))
 	mult := units.Bps
-	matched := false
 	for _, suffix := range []struct {
 		tag string
 		m   units.Rate
@@ -51,13 +54,11 @@ func ParseRate(s string) (units.Rate, error) {
 		if strings.HasSuffix(u, suffix.tag) {
 			mult = suffix.m
 			u = strings.TrimSuffix(u, suffix.tag)
-			matched = true
 			break
 		}
 	}
-	_ = matched
 	v, err := strconv.ParseFloat(strings.TrimSpace(u), 64)
-	if err != nil || v < 0 {
+	if err != nil || !(v >= 0) || math.IsInf(v, 1) {
 		return 0, fmt.Errorf("cliutil: bad rate %q", s)
 	}
 	return units.Rate(v) * mult, nil

@@ -26,7 +26,7 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "-5MB", "MB"} {
+	for _, bad := range []string{"", "abc", "-5MB", "MB", "Inf", "NaN", "-Inf", "infGB", "1e30GB", "9.3e18", "9223372036854775808"} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Errorf("ParseSize(%q) accepted", bad)
 		}
@@ -51,7 +51,7 @@ func TestParseRate(t *testing.T) {
 			t.Errorf("ParseRate(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"fast", "-1mbps", "mbps"} {
+	for _, bad := range []string{"fast", "-1mbps", "mbps", "NaN", "Infgbps", "+Inf", "-Infmbps", "nanbps"} {
 		if _, err := ParseRate(bad); err == nil {
 			t.Errorf("ParseRate(%q) accepted", bad)
 		}

@@ -12,25 +12,16 @@ import (
 
 // Event types emitted by the instrumented transfer path. The log
 // accepts any type string; these constants are the vocabulary the
-// proto/sched/monitor instrumentation uses and DESIGN.md §8 documents.
+// proto/monitor instrumentation uses and DESIGN.md §8.2 documents. They
+// are point events only: anything with a duration is a span
+// (span_begin/span_end, DESIGN.md §13.1), never a start/finish pair.
 const (
-	EvTransferStarted     = "transfer_started"
-	EvTransferFinished    = "transfer_finished"
-	EvGetIssued           = "get_issued"
-	EvGetSettled          = "get_settled"
-	EvChannelDialed       = "channel_dialed"
-	EvChannelRedialed     = "channel_redialed"
 	EvChannelPlaced       = "channel_placed"
 	EvEndpointBlacklisted = "endpoint_blacklisted"
 	EvEndpointRecovered   = "endpoint_recovered"
-	EvRetryConsumed       = "retry_consumed"
 	EvChunkRealloc        = "chunk_reallocated"
 	EvEnergySample        = "energy_sample"
 	EvEnergyModel         = "energy_model_sample"
-	EvSessionOpened       = "session_opened"
-	EvSessionClosed       = "session_closed"
-	EvGetServed           = "get_served"
-	EvFaultInjected       = "fault_injected"
 	EvStallDetected       = "stall_detected"
 	EvServerDraining      = "server_draining"
 	EvServerDrained       = "server_drained"
@@ -44,7 +35,7 @@ const DefaultRingSize = 1024
 
 // Log is a structured JSONL event log. Each event is one line:
 //
-//	{"seq":12,"t":"2026-08-06T10:00:00.123Z","type":"get_issued","file":"a.bin","length":1048576}
+//	{"seq":12,"t":"2026-08-06T10:00:00.123Z","type":"stall_detected","sid":3,"pending":2}
 //
 // Events always land in an in-memory ring (for the /events tail) and,
 // when the log was built over a writer, are appended to it as they

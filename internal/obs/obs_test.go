@@ -32,7 +32,7 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("g").Add(2)
 	r.Histogram("h").Observe(3)
 	r.Family("f", "k").With("v").Inc()
-	l.Emit(EvGetIssued, "k", 1)
+	l.Emit(EvStallDetected, "k", 1)
 	l.SetClock(fixedClock())
 	if got := r.Counter("c").Value(); got != 0 {
 		t.Errorf("nil counter value = %d", got)
@@ -133,9 +133,9 @@ func TestEventLogEmitAndTail(t *testing.T) {
 	var out bytes.Buffer
 	l := NewLog(&out)
 	l.SetClock(fixedClock())
-	l.Emit(EvTransferStarted, "label", "MinE", "bytes", 1024)
-	l.Emit(EvGetIssued, "file", `na"me`, "offset", int64(0))
-	l.Emit(EvGetSettled, "file", `na"me`, "ms", 1.5)
+	l.Emit(EvRecoveryPlanned, "label", "MinE", "bytes", 1024)
+	l.Emit(EvChannelPlaced, "file", `na"me`, "offset", int64(0))
+	l.Emit(EvStallDetected, "file", `na"me`, "ms", 1.5)
 
 	if l.Seq() != 3 {
 		t.Errorf("seq = %d, want 3", l.Seq())
@@ -159,7 +159,7 @@ func TestEventLogEmitAndTail(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatal(err)
 	}
-	if first["type"] != EvTransferStarted || first["label"] != "MinE" || first["bytes"] != float64(1024) {
+	if first["type"] != EvRecoveryPlanned || first["label"] != "MinE" || first["bytes"] != float64(1024) {
 		t.Errorf("first event wrong: %v", first)
 	}
 
@@ -167,7 +167,7 @@ func TestEventLogEmitAndTail(t *testing.T) {
 	if len(tail) != 2 {
 		t.Fatalf("tail = %d lines, want 2", len(tail))
 	}
-	if !bytes.Contains(tail[1], []byte(EvGetSettled)) {
+	if !bytes.Contains(tail[1], []byte(EvStallDetected)) {
 		t.Errorf("tail out of order: %s", tail[1])
 	}
 	if got := l.Tail(0); len(got) != 3 {
@@ -307,8 +307,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	reg.Counter("bytes_received").Add(42)
 	log := NewLog(nil)
 	log.SetClock(fixedClock())
-	log.Emit(EvChannelDialed, "sid", 1)
-	log.Emit(EvChannelDialed, "sid", 2)
+	log.Emit(EvChannelPlaced, "sid", 1)
+	log.Emit(EvChannelPlaced, "sid", 2)
 
 	srv, err := Serve("127.0.0.1:0", reg, log)
 	if err != nil {

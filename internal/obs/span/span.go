@@ -2,8 +2,9 @@
 // log: a stdlib-only, allocation-conscious span tracer whose spans
 // carry {trace_id, span_id, parent_id, name, start, end, attrs} and
 // ride the existing JSONL event stream as span_begin/span_end events,
-// while being counted and timed into the registry's windowed
-// histograms. It inherits every obs design rule (DESIGN.md §8, §13):
+// while the registry counts only how many started and finished (the
+// stream carries each span's name and duration). It inherits every obs
+// design rule (DESIGN.md §8, §13):
 //
 //   - Stdlib plus obs only; lint.sh audits the closure.
 //   - Write-only: nothing on the computation path reads a span back.
@@ -66,13 +67,12 @@ var (
 )
 
 // Tracer mints spans, emits their begin/end events into an obs.Log and
-// books their counts/durations into an obs.Registry. All methods are
-// safe for concurrent use and no-ops on a nil receiver.
+// books their counts into an obs.Registry. All methods are safe for
+// concurrent use and no-ops on a nil receiver.
 type Tracer struct {
 	mu   sync.Mutex
 	now  obs.Clock
 	log  *obs.Log
-	reg  *obs.Registry
 	live map[uint64]*Span
 
 	// Online energy state: the last cumulative sample and the power the
@@ -85,8 +85,6 @@ type Tracer struct {
 	// Cached instruments (nil and no-op without a registry).
 	started  *obs.Counter
 	finished *obs.Counter
-	byName   *obs.Family
-	hists    map[string]*obs.Histogram
 }
 
 // NewTracer builds a tracer over the given registry and event log;
@@ -95,12 +93,9 @@ func NewTracer(reg *obs.Registry, log *obs.Log) *Tracer {
 	return &Tracer{
 		now:      time.Now, //lint:allow nodeterm wall-clock default seam; SetClock injects a deterministic clock
 		log:      log,
-		reg:      reg,
 		live:     make(map[uint64]*Span),
 		started:  reg.Counter("spans_started"),
 		finished: reg.Counter("spans_finished"),
-		byName:   reg.Family("spans_by_name", "name"),
-		hists:    make(map[string]*obs.Histogram),
 	}
 }
 
@@ -174,7 +169,6 @@ func (t *Tracer) start(parent *Span, name string, attrs []any) *Span {
 	t.live[s.id] = s
 	t.mu.Unlock()
 	t.started.Inc()
-	t.byName.With(name).Inc()
 	kv := make([]any, 0, 8+len(attrs))
 	kv = append(kv, "trace", s.trace, "span", s.id, "parent", s.parent, "name", s.name)
 	kv = append(kv, attrs...)
@@ -182,22 +176,8 @@ func (t *Tracer) start(parent *Span, name string, attrs []any) *Span {
 	return s
 }
 
-// histFor returns the per-name duration histogram, creating it on first
-// use (span_ms_<name>; the obs path is metriclint-exempt, which is what
-// permits the derived name).
-func (t *Tracer) histFor(name string) *obs.Histogram {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h, ok := t.hists[name]
-	if !ok {
-		h = t.reg.Histogram("span_ms_" + name)
-		t.hists[name] = h
-	}
-	return h
-}
-
 // end finishes a span: removes it from the live set, emits span_end and
-// books the duration. Idempotent via Span.ended.
+// counts it finished. Idempotent via Span.ended.
 func (t *Tracer) end(s *Span, attrs []any) {
 	t.mu.Lock()
 	end := t.now()
@@ -209,7 +189,6 @@ func (t *Tracer) end(s *Span, attrs []any) {
 	t.mu.Unlock()
 	durMS := float64(end.Sub(s.start)) / float64(time.Millisecond)
 	t.finished.Inc()
-	t.histFor(s.name).Observe(durMS)
 	kv := make([]any, 0, 14+len(attrs))
 	kv = append(kv,
 		"trace", s.trace, "span", s.id, "parent", s.parent, "name", s.name,

@@ -141,9 +141,6 @@ func TestSpanEventsAndMetrics(t *testing.T) {
 	if got := reg.Counter("spans_finished").Value(); got != 2 {
 		t.Errorf("spans_finished = %d", got)
 	}
-	if got := reg.Family("spans_by_name", "name").With(NameGet).Value(); got != 1 {
-		t.Errorf("spans_by_name{get} = %d", got)
-	}
 }
 
 func TestRootSpansGetDistinctTraces(t *testing.T) {

@@ -517,7 +517,6 @@ func (c *Client) OpenChannel(parallelism int) (*Channel, error) {
 	dialSpan.End("sid", sid)
 	ch.inst.channelsDialed.Inc()
 	ch.inst.dialsByEndpoint.With(endpointLabel(ep)).Inc()
-	c.Events.Emit(obs.EvChannelDialed, "sid", sid, "parallelism", parallelism, "endpoint", ep, "addr", addr)
 	return ch, nil
 }
 
@@ -678,7 +677,7 @@ func (ch *Channel) get(r FileRange, sink Sink, session *atomic.Int64) (*pendingG
 		dataDone: make(chan struct{}),
 	}
 	p.span = ch.span.Child(span.NameGet,
-		"file", r.File.Name, "offset", p.offset, "length", p.length)
+		"id", id, "file", r.File.Name, "offset", p.offset, "length", p.length)
 	if p.length == 0 {
 		p.dataOnce.Do(func() { close(p.dataDone) })
 	}
@@ -707,8 +706,6 @@ func (ch *Channel) get(r FileRange, sink Sink, session *atomic.Int64) (*pendingG
 		return nil, err
 	}
 	ch.inst.getsIssued.Inc()
-	ch.client.Events.Emit(obs.EvGetIssued,
-		"sid", ch.sid, "id", id, "file", r.File.Name, "offset", p.offset, "length", p.length)
 	return p, nil
 }
 
@@ -736,19 +733,14 @@ func (ch *Channel) finish(p *pendingGet) error {
 	if err == nil && ch.client.VerifyChecksums && p.length > 0 {
 		err = p.verifyChecksum()
 	}
-	ms := float64(time.Since(p.issued)) / float64(time.Millisecond)
 	if err != nil {
 		ch.inst.getsFailed.Inc()
 		p.span.End("error", err.Error())
-		ch.client.Events.Emit(obs.EvGetSettled,
-			"sid", ch.sid, "file", p.name, "bytes", p.length, "ms", ms, "error", err.Error())
 		return err
 	}
 	ch.inst.getsSettled.Inc()
-	ch.inst.settleMS.Observe(ms)
+	ch.inst.settleMS.Observe(float64(time.Since(p.issued)) / float64(time.Millisecond))
 	p.span.End()
-	ch.client.Events.Emit(obs.EvGetSettled,
-		"sid", ch.sid, "file", p.name, "bytes", p.length, "ms", ms)
 	return nil
 }
 

@@ -137,20 +137,9 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 	if err != nil {
 		return nil, fmt.Errorf("proto: energy source unusable: %w", err)
 	}
-	e.Trace.EnergySample(float64(primed))
-	s.root = e.Trace.Root(span.NameTransfer,
-		"label", e.Label,
-		"chunks", len(plan.Chunks),
-		"channels", plan.TotalChannels(),
-		"resume", e.Resume != nil)
-	e.Client.setTraceParent(s.root)
-	if e.Client.Journal != nil {
-		e.Client.Journal.setTraceParent(e.Trace, s.root)
-	}
 	for i := range plan.Chunks {
 		cp := plan.Chunks[i]
 		rc := &realChunk{plan: cp, idx: i}
-		rc.span = s.root.Child(span.NameChunk, "chunk", i, "files", len(cp.Chunk.Files))
 		for _, f := range cp.Chunk.Files {
 			frs := []FileRange{{File: f}}
 			if e.Resume != nil {
@@ -171,6 +160,21 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 		}
 		s.chunks = append(s.chunks, rc)
 	}
+	e.Trace.EnergySample(float64(primed))
+	s.root = e.Trace.Root(span.NameTransfer,
+		"label", e.Label,
+		"chunks", len(plan.Chunks),
+		"bytes", int64(s.total),
+		"channels", plan.TotalChannels(),
+		"sequential", plan.Sequential,
+		"resume", e.Resume != nil)
+	for _, rc := range s.chunks {
+		rc.span = s.root.Child(span.NameChunk, "chunk", rc.idx, "files", len(rc.plan.Chunk.Files))
+	}
+	e.Client.setTraceParent(s.root)
+	if e.Client.Journal != nil {
+		e.Client.Journal.setTraceParent(e.Trace, s.root)
+	}
 	// A fully-resumed plan has nothing left to move.
 	s.signalDoneIfComplete()
 	// A Sequential plan's first chunk may already be complete at the
@@ -184,12 +188,6 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 		return nil, err
 	}
 	s.inst.transfersStarted.Inc()
-	s.events.Emit(obs.EvTransferStarted,
-		"label", e.Label,
-		"chunks", len(s.chunks),
-		"bytes", int64(s.total),
-		"channels", plan.TotalChannels(),
-		"sequential", plan.Sequential)
 	return s, nil
 }
 
@@ -357,20 +355,16 @@ func (s *realSession) retryConsumed(file string, attempt int, err error) {
 	s.retries.Add(1)
 	s.inst.retriesTotal.Inc()
 	s.inst.retriesByCause.With(cause).Inc()
-	s.root.Child(span.NameRetry, "cause", cause, "file", file, "attempt", attempt).
+	s.root.Child(span.NameRetry,
+		"cause", cause, "file", file, "attempt", attempt, "budget", s.exec.MaxRetries).
 		End("error", fmt.Sprint(err))
-	s.events.Emit(obs.EvRetryConsumed,
-		"cause", cause,
-		"file", file,
-		"attempt", attempt,
-		"budget", s.exec.MaxRetries,
-		"error", fmt.Sprint(err))
 }
 
 // endSpans finishes the session's chunk spans and root span exactly
 // once, stamping the final joules estimate (Report.EnergyJoules reads
-// the root's estimate just before this).
-func (s *realSession) endSpans(cause error) {
+// the root's estimate just before this). attrs ride the root's
+// span_end when the session succeeded.
+func (s *realSession) endSpans(cause error, attrs ...any) {
 	s.spansOnce.Do(func() {
 		// Detach the client and journal first: channels dialed or flushes
 		// committed after this session must not parent under a root that
@@ -385,7 +379,7 @@ func (s *realSession) endSpans(cause error) {
 		if cause != nil {
 			s.root.End("error", cause.Error())
 		} else {
-			s.root.End()
+			s.root.End(attrs...)
 		}
 	})
 }
@@ -465,13 +459,8 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 			if err == nil {
 				ch = next
 				s.inst.channelsRedialed.Inc()
-				rsp.End("failed_attempts", w.redials)
-				s.events.Emit(obs.EvChannelRedialed,
-					"chunk", w.chunk.idx,
-					"failed_attempts", w.redials,
-					"endpoint", next.Endpoint(),
-					"addr", next.EndpointAddr(),
-					"cause", fmt.Sprint(cause))
+				rsp.End("failed_attempts", w.redials,
+					"endpoint", next.Endpoint(), "addr", next.EndpointAddr())
 				return true
 			}
 			w.redials++
@@ -814,34 +803,27 @@ func (s *realSession) Finish() (transfer.Report, error) {
 	if s.root == nil {
 		joules = float64(energy)
 	}
-	s.endSpans(nil)
+	files, retries := s.files.Load(), s.retries.Load()
+	s.root.AddBytes(int64(bytes))
+	s.endSpans(nil, "files", files, "retries", retries)
 	s.mu.Lock()
 	s.finished = true
 	s.mu.Unlock()
-	r := transfer.Report{
+	s.inst.transfersFinished.Inc()
+	s.inst.energyJoules.Set(float64(energy))
+	return transfer.Report{
 		Algorithm:       s.exec.Label,
 		Testbed:         s.exec.Client.Target(),
 		Duration:        duration,
 		Bytes:           bytes,
 		Throughput:      units.RateOf(bytes, duration),
-		Files:           s.files.Load(),
-		Retries:         s.retries.Load(),
+		Files:           files,
+		Retries:         retries,
 		EndSystemEnergy: energy,
 		EnergyJoules:    joules,
 		AvgPower:        units.Power(energy, duration),
 		Samples:         s.samples,
-	}
-	s.inst.transfersFinished.Inc()
-	s.inst.energyJoules.Set(float64(energy))
-	s.events.Emit(obs.EvTransferFinished,
-		"label", s.exec.Label,
-		"bytes", int64(r.Bytes),
-		"files", r.Files,
-		"retries", r.Retries,
-		"duration_ms", duration.Milliseconds(),
-		"mbps", r.Throughput.Mbit(),
-		"joules", float64(energy))
-	return r, nil
+	}, nil
 }
 
 func (s *realSession) stopAll() {

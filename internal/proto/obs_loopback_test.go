@@ -8,13 +8,15 @@ import (
 
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/obs"
+	"github.com/didclab/eta/internal/obs/span"
 	"github.com/didclab/eta/internal/units"
 )
 
 // TestObsLoopbackCountersMatchReport is the observability acceptance
-// check: a fully instrumented loopback transfer must produce an event
-// log that parses line-by-line and a metrics snapshot whose headline
-// counters agree exactly with the transfer report.
+// check: a fully instrumented (metrics, events and spans) loopback
+// transfer must produce an event log that parses line-by-line and a
+// metrics snapshot whose headline counters agree exactly with the
+// transfer report and with the spans in the stream.
 func TestObsLoopbackCountersMatchReport(t *testing.T) {
 	ds := dataset.NewGenerator(60).Uniform(12, 300*units.KB)
 	srvReg := obs.NewRegistry()
@@ -32,6 +34,7 @@ func TestObsLoopbackCountersMatchReport(t *testing.T) {
 		Environment: testEnv(),
 		Metrics:     reg,
 		Events:      events,
+		Trace:       span.NewTracer(reg, events),
 	}
 	plan := planFor(ds, 2, 2, 3)
 	r, err := exec.Run(nil, plan)
@@ -79,8 +82,9 @@ func TestObsLoopbackCountersMatchReport(t *testing.T) {
 	}
 
 	// Every event line must be valid JSON with the envelope keys, and the
-	// lifecycle events must appear.
-	types := map[string]int{}
+	// lifecycle spans must appear: one transfer span, one channel_dial
+	// end per dialed channel, one get end per settled GET.
+	spans := map[string]int{} // "span_begin transfer", "span_end get", ...
 	lastSeq := int64(0)
 	sc := bufio.NewScanner(&journal)
 	for line := 1; sc.Scan(); line++ {
@@ -88,6 +92,7 @@ func TestObsLoopbackCountersMatchReport(t *testing.T) {
 			Seq  int64  `json:"seq"`
 			T    string `json:"t"`
 			Type string `json:"type"`
+			Name string `json:"name"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("event line %d does not parse: %v\n%s", line, err, sc.Text())
@@ -96,20 +101,17 @@ func TestObsLoopbackCountersMatchReport(t *testing.T) {
 			t.Fatalf("event line %d envelope wrong: %s", line, sc.Text())
 		}
 		lastSeq = ev.Seq
-		types[ev.Type]++
-	}
-	for _, want := range []string{
-		obs.EvTransferStarted, obs.EvTransferFinished,
-		obs.EvChannelDialed, obs.EvGetIssued, obs.EvGetSettled,
-	} {
-		if types[want] == 0 {
-			t.Errorf("no %q event in the journal (saw %v)", want, types)
+		if ev.Type == obs.EvSpanBegin || ev.Type == obs.EvSpanEnd {
+			spans[ev.Type+" "+ev.Name]++
 		}
 	}
-	if types[obs.EvTransferStarted] != 1 || types[obs.EvTransferFinished] != 1 {
-		t.Errorf("lifecycle events wrong: %v", types)
+	if spans["span_begin transfer"] != 1 || spans["span_end transfer"] != 1 {
+		t.Errorf("want exactly one transfer span begin/end pair, saw %v", spans)
 	}
-	if got := types[obs.EvGetSettled]; got != int(snap.Counters["gets_settled"]) {
-		t.Errorf("%d get_settled events, counter says %d", got, snap.Counters["gets_settled"])
+	if got := spans["span_end channel_dial"]; got == 0 || got != int(snap.Counters["channels_dialed"]) {
+		t.Errorf("%d channel_dial span ends, counter says %d", got, snap.Counters["channels_dialed"])
+	}
+	if got := spans["span_end get"]; got == 0 || got != int(snap.Counters["gets_settled"]) {
+		t.Errorf("%d get span ends, counter says %d", got, snap.Counters["gets_settled"])
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/didclab/eta/internal/dataset"
+	"github.com/didclab/eta/internal/obs"
 	"github.com/didclab/eta/internal/units"
 )
 
@@ -570,9 +571,18 @@ func TestFillSynthGolden(t *testing.T) {
 
 func TestServerStats(t *testing.T) {
 	ds := dataset.NewGenerator(40).Uniform(5, 100*units.KB)
-	srv := synthServer(t, ds, nil)
-	if st := srv.Stats(); st.TotalSessions != 0 || st.BytesServed != 0 {
-		t.Errorf("fresh server stats: %+v", st)
+	reg := obs.NewRegistry()
+	log := obs.NewLog(nil)
+	srv := synthServer(t, ds, func(c *ServerConfig) {
+		c.Metrics = reg
+		c.Events = log
+	})
+	counters := func() (sessions, requests, served int64) {
+		c := reg.Snapshot().Counters
+		return c["server_sessions_total"], c["server_requests_served"], c["server_bytes_served"]
+	}
+	if sessions, _, served := counters(); sessions != 0 || served != 0 {
+		t.Errorf("fresh server counters: %d sessions, %d bytes", sessions, served)
 	}
 	client := &Client{Addr: srv.Addr()}
 	ch, err := client.OpenChannel(2)
@@ -582,19 +592,22 @@ func TestServerStats(t *testing.T) {
 	if _, err := ch.Fetch(ds.Files, 2, NewVerifySink()); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.ActiveSessions != 1 || st.TotalSessions != 1 {
-		t.Errorf("session counters: %+v", st)
+	sessions, requests, served := counters()
+	if sessions != 1 {
+		t.Errorf("server_sessions_total = %d, want 1", sessions)
 	}
-	if st.RequestsServed != 5 || st.BytesServed != ds.TotalSize() {
-		t.Errorf("request counters: %+v (want 5 / %v)", st, ds.TotalSize())
+	if requests != 5 || served != int64(ds.TotalSize()) {
+		t.Errorf("server_requests_served = %d, server_bytes_served = %d (want 5 / %d)",
+			requests, served, int64(ds.TotalSize()))
 	}
+	// A closed channel's session is reaped, so a drain finds nothing to
+	// force.
 	ch.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().ActiveSessions != 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	if err := srv.Drain(2 * time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
-	if got := srv.Stats().ActiveSessions; got != 0 {
-		t.Errorf("session not reaped: %d active", got)
+	tail := bytes.Join(log.Tail(0), []byte("\n"))
+	if !bytes.Contains(tail, []byte(`"type":"server_drained"`)) || !bytes.Contains(tail, []byte(`"forced":false`)) {
+		t.Errorf("session not reaped before the drain:\n%s", tail)
 	}
 }

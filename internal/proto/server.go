@@ -24,8 +24,9 @@ type ServerConfig struct {
 	// Metrics receives live server counters (server_bytes_served,
 	// server_sessions_total, ...); optional.
 	Metrics *obs.Registry
-	// Events receives structured server events (session_opened,
-	// get_served, ...); optional.
+	// Events receives the server's point events (server_draining,
+	// server_drained); sessions and GETs are recorded as Trace's spans.
+	// Optional.
 	Events *obs.Log
 	// Trace, when set, roots one server_session span per control
 	// session, with server_get and server_stream children. In a loopback
@@ -102,41 +103,12 @@ type Server struct {
 	// cache is disabled.
 	crcSidecars *crcCache
 
-	bytesServed   atomic.Int64
-	requestsDone  atomic.Int64
-	totalSessions atomic.Int64
-
 	mu       sync.Mutex
 	sessions map[uint64]*serverSession
 	nextSID  uint64
 	closed   bool
 	draining bool
 	wg       sync.WaitGroup
-}
-
-// Stats is a snapshot of a server's lifetime counters.
-type Stats struct {
-	// ActiveSessions is the number of open control sessions.
-	ActiveSessions int
-	// TotalSessions counts sessions ever opened.
-	TotalSessions int64
-	// RequestsServed counts completed GETs.
-	RequestsServed int64
-	// BytesServed counts payload bytes written to data streams.
-	BytesServed units.Bytes
-}
-
-// Stats returns a snapshot of the server's counters.
-func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	active := len(s.sessions)
-	s.mu.Unlock()
-	return Stats{
-		ActiveSessions: active,
-		TotalSessions:  s.totalSessions.Load(),
-		RequestsServed: s.requestsDone.Load(),
-		BytesServed:    units.Bytes(s.bytesServed.Load()),
-	}
 }
 
 // serverInstruments caches the server-side metric handles (nil and
@@ -372,7 +344,6 @@ func (s *Server) runControl(conn net.Conn, br *bufio.Reader) {
 		return
 	}
 	s.nextSID++
-	s.totalSessions.Add(1)
 	sess := &serverSession{
 		srv:     s,
 		sid:     s.nextSID,
@@ -387,7 +358,6 @@ func (s *Server) runControl(conn net.Conn, br *bufio.Reader) {
 	s.inst.sessionsTotal.Inc()
 	sess.span = s.cfg.Trace.Root(span.NameServerSession,
 		"sid", sess.sid, "remote", conn.RemoteAddr().String())
-	s.cfg.Events.Emit(obs.EvSessionOpened, "sid", sess.sid, "remote", conn.RemoteAddr().String())
 
 	defer func() {
 		s.mu.Lock()
@@ -395,7 +365,6 @@ func (s *Server) runControl(conn net.Conn, br *bufio.Reader) {
 		s.mu.Unlock()
 		sess.close()
 		sess.span.End()
-		s.cfg.Events.Emit(obs.EvSessionClosed, "sid", sess.sid)
 	}()
 
 	sess.send("%s %d\n", respOK, sess.sid)
@@ -583,17 +552,12 @@ func (sess *serverSession) serveLoop(doneQueue *delayQueue[string]) {
 			sess.srv.cfg.logf("proto: session %d GET %d (%s): %v", sess.sid, req.ID, req.Name, err)
 			sess.srv.inst.requestsFailed.Inc()
 			gsp.End("error", err.Error())
-			sess.srv.cfg.Events.Emit(obs.EvGetServed,
-				"sid", sess.sid, "id", req.ID, "file", req.Name, "error", err.Error())
 			doneQueue.Push(fmt.Sprintf("%s %d %v\n", respErr, req.ID, err))
 			continue
 		}
-		ms := float64(time.Since(start)) / float64(time.Millisecond)
-		sess.srv.inst.serveMS.Observe(ms)
+		sess.srv.inst.serveMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		gsp.AddBytes(req.Length)
 		gsp.End()
-		sess.srv.cfg.Events.Emit(obs.EvGetServed,
-			"sid", sess.sid, "id", req.ID, "file", req.Name, "bytes", req.Length, "ms", ms)
 	}
 }
 
@@ -776,8 +740,6 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 			return err
 		}
 	}
-	sess.srv.requestsDone.Add(1)
-	sess.srv.bytesServed.Add(req.Length)
 	sess.srv.inst.requestsServed.Inc()
 	sess.srv.inst.bytesServed.Add(req.Length)
 	doneQueue.Push(fmt.Sprintf("%s %d %d\n", respDone, req.ID, crcState))

@@ -1,8 +1,10 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -85,6 +87,27 @@ func TestTracedLoopback(t *testing.T) {
 	srv.Close()
 	waitNoLiveSpans(t, tracer)
 
+	// One timeline: the stream holds spans plus the point events of
+	// DESIGN.md §8.2, and nothing that restates a span.
+	pointEvents := map[string]bool{
+		obs.EvChannelPlaced: true, obs.EvEndpointBlacklisted: true, obs.EvEndpointRecovered: true,
+		obs.EvChunkRealloc: true, obs.EvEnergySample: true, obs.EvEnergyModel: true,
+		obs.EvStallDetected: true, obs.EvServerDraining: true, obs.EvServerDrained: true,
+		obs.EvRecoveryPlanned: true, obs.EvSpanBegin: true, obs.EvSpanEnd: true,
+	}
+	sc := bufio.NewScanner(bytes.NewReader(journal.Bytes()))
+	for sc.Scan() {
+		var ev struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("event line does not parse: %v\n%s", err, sc.Text())
+		}
+		if !pointEvents[ev.Type] {
+			t.Errorf("event type %q is not in DESIGN.md §8.2: %s", ev.Type, sc.Text())
+		}
+	}
+
 	forest, err := span.ReadForest(bytes.NewReader(journal.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +145,12 @@ func TestTracedLoopback(t *testing.T) {
 	}
 	if root == nil {
 		t.Fatal("no transfer root")
+	}
+	// The root carries the report's totals.
+	if root.Bytes != int64(r.Bytes) || root.Attrs["files"] != float64(r.Files) ||
+		root.Attrs["retries"] != float64(0) || root.Attrs["sequential"] != false {
+		t.Errorf("transfer root bytes %d, attrs %v; report %d bytes, %d files",
+			root.Bytes, root.Attrs, int64(r.Bytes), r.Files)
 	}
 	var getBytes int64
 	for _, rec := range forest.ByID {

@@ -82,22 +82,14 @@ func writeBlockHeader(w io.Writer, h blockHeader) error {
 	return err
 }
 
-// writeBlockHeaderBuf is writeBlockHeader with caller-owned scratch.
-// Hot loops reuse one scratch slice per goroutine so the header does
-// not escape to the heap on every block.
-func writeBlockHeaderBuf(w io.Writer, scratch []byte, h blockHeader) error {
-	encodeBlockHeader(scratch[:blockHeaderSize], h)
-	_, err := w.Write(scratch[:blockHeaderSize])
-	return err
-}
-
 func readBlockHeader(r io.Reader) (blockHeader, error) {
 	var buf [blockHeaderSize]byte
 	return readBlockHeaderBuf(r, buf[:])
 }
 
-// readBlockHeaderBuf is readBlockHeader with caller-owned scratch,
-// for the same reason as writeBlockHeaderBuf.
+// readBlockHeaderBuf is readBlockHeader with caller-owned scratch.
+// Hot loops reuse one scratch slice per goroutine so the header does
+// not escape to the heap on every block.
 func readBlockHeaderBuf(r io.Reader, scratch []byte) (blockHeader, error) {
 	scratch = scratch[:blockHeaderSize]
 	if _, err := io.ReadFull(r, scratch); err != nil {
