@@ -5,7 +5,7 @@
 // CI gates (scripts/lint.sh). Analyzers exchange per-object facts
 // through the vet .vetx channel, so interprocedural properties
 // (pool-releasing helpers, deadline-disciplined forwarders, sentinel
-// errors, bounded label sources) survive package boundaries.
+// errors) survive package boundaries.
 //
 // The analyzer list below is mirrored in DESIGN.md §7.1; CI asserts
 // the two stay in sync.

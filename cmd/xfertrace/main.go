@@ -16,12 +16,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/didclab/eta/internal/obs/span"
@@ -87,48 +88,16 @@ func run(args []string, check bool, tol float64, top int, chrome string, w io.Wr
 
 // runCheck is the CI gate: a recorded run must reconstruct into a
 // balanced forest whose attributed energy accounts for the source's
-// final total.
+// final total (span.Forest.Check).
 func runCheck(f *span.Forest, tol float64, w io.Writer) error {
-	if f.SpanCount() == 0 {
-		return fmt.Errorf("check: no spans in the stream")
-	}
-	var failures []string
-	if n := len(f.Leaked); n > 0 {
-		names := make(map[string]int)
-		for _, rec := range f.Leaked {
-			names[rec.Name]++
-		}
-		failures = append(failures, fmt.Sprintf("%d leaked spans (span_begin without span_end): %v", n, names))
-	}
-	if f.Dangling > 0 {
-		failures = append(failures, fmt.Sprintf("%d dangling span_end events (no matching begin)", f.Dangling))
-	}
-	total := f.FinalJoules()
-	if total > 0 {
-		attributed := f.SumSelfJoules()
-		// Accounting identity: every sampled joule lands either on a
-		// leaf span or in the unattributed bucket.
-		if gap := math.Abs(attributed + f.Unattributed - total); gap > tol*total {
-			failures = append(failures, fmt.Sprintf(
-				"energy accounting broken: attributed %.3fJ + unattributed %.3fJ vs source total %.3fJ",
-				attributed, f.Unattributed, total))
-		}
-		// Coverage: the per-span joules must sum to the source total —
-		// unattributed energy means intervals no span covered.
-		if math.Abs(attributed-total) > tol*total {
-			failures = append(failures, fmt.Sprintf(
-				"per-span joules sum %.3fJ misses source total %.3fJ by %.2f%% (tolerance %.2f%%)",
-				attributed, total, math.Abs(attributed-total)/total*100, tol*100))
-		}
-	}
-	if len(failures) > 0 {
-		for _, msg := range failures {
+	if err := f.Check(tol); err != nil {
+		for _, msg := range strings.Split(err.Error(), "\n") {
 			fmt.Fprintln(w, "FAIL:", msg)
 		}
-		return fmt.Errorf("check failed (%d problems)", len(failures))
+		return errors.New("check failed")
 	}
 	fmt.Fprintf(w, "ok: %d spans, %d traces, balanced; ", f.SpanCount(), len(f.Roots))
-	if total > 0 {
+	if total := f.FinalJoules(); total > 0 {
 		fmt.Fprintf(w, "%.3fJ attributed of %.3fJ sampled (%.2f%% unattributed)\n",
 			f.SumSelfJoules(), total, f.Unattributed/total*100)
 	} else {
@@ -190,7 +159,9 @@ func printSpanTree(w io.Writer, rec *span.Record, e time.Time, depth int) {
 	} else {
 		fmt.Fprintf(w, " %.1fms", rec.DurMS)
 	}
-	if rec.Bytes > 0 {
+	if rec.PlannedBytes > 0 {
+		fmt.Fprintf(w, " %dB of %dB planned", rec.Bytes, rec.PlannedBytes)
+	} else if rec.Bytes > 0 {
 		fmt.Fprintf(w, " %dB", rec.Bytes)
 	}
 	if rec.SelfJoules > 0 {

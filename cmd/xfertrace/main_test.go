@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,13 +23,21 @@ import (
 
 // constantPower is a fake cumulative energy source that also records
 // the energy_model_sample curve the flight recorder attributes from.
+// Like monitor.ModelSource, its first Total primes it at zero and emits
+// no sample.
 type constantPower struct {
+	prime sync.Once
 	start time.Time
 	watts float64
 	log   *obs.Log
 }
 
 func (c *constantPower) Total() (units.Joules, error) {
+	primed := false
+	c.prime.Do(func() { c.start, primed = time.Now(), true })
+	if primed {
+		return 0, nil
+	}
 	j := c.watts * time.Since(c.start).Seconds()
 	c.log.Emit(obs.EvEnergyModel, "joules_total", j, "watts", c.watts)
 	return units.Joules(j), nil
@@ -59,7 +69,7 @@ func recordTracedRun(t *testing.T) string {
 	exec := &proto.Executor{
 		Client: &proto.Client{Addr: srv.Addr()},
 		Sink:   proto.NewVerifySink(),
-		Energy: &constantPower{start: time.Now(), watts: 35, log: events},
+		Energy: &constantPower{watts: 35, log: events},
 		Environment: transfer.Environment{
 			Path: netem.Path{
 				Bandwidth:       1 * units.Gbps,
@@ -124,6 +134,10 @@ func TestFlightRecorder(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+	// The transfer root shows delivered against planned bytes.
+	if m := regexp.MustCompile(`transfer \S+ \S+ \S+ (\d+)B of (\d+)B planned`).FindStringSubmatch(out); m == nil || m[1] != m[2] {
+		t.Errorf("report lacks a complete transfer's delivered-vs-planned bytes (match %q):\n%s", m, out)
 	}
 
 	raw, err := os.ReadFile(chromePath)

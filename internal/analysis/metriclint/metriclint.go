@@ -1,23 +1,18 @@
-// Package metriclint enforces the obs telemetry hygiene rules
-// (DESIGN.md §8) at the call sites of the obs API — matched by
-// receiver type name (Registry, Family, Log), so fixtures need no
-// imports and the rules survive the package being mocked:
+// Package metriclint enforces the obs naming rule (DESIGN.md §8) at
+// the call sites of the obs API — matched by receiver type name
+// (Registry, Log), so fixtures need no imports and the rule survives
+// the package being mocked: metric names (Registry.Counter, Gauge,
+// Histogram, Family), family label keys, event types (Log.Emit) and
+// Emit kv keys must be Go constant expressions whose value is a
+// snake_case string. The registry is register-once, and a name built
+// at runtime either explodes it or aliases two meanings onto one
+// series. The rule reads the type checker's constant value and follows
+// no variables: a name forwarded through a variable or parameter is
+// flagged even when every source is constant.
 //
-//   - metric/event names (Registry.Counter/Gauge/Histogram/Family,
-//     Log.Emit's type, and event keys) must be compile-time constant
-//     snake_case strings: the registry is register-once, and a name
-//     built at runtime either explodes the registry or aliases two
-//     meanings onto one series.
-//   - Family.With label values must be bounded: a constant, a named
-//     string type (an enum by convention), a value returned by a
-//     helper whose every return is bounded (exported as BoundedFact),
-//     or a parameter of an unexported function all of whose in-package
-//     call sites pass bounded values. Anything else — err.Error(),
-//     file names, formatted strings — is unbounded cardinality.
-//
-// The boundedness of helper returns crosses package boundaries via
-// BoundedFact; parameter boundedness stays in-package because external
-// callers of an exported function are invisible at analysis time.
+// Label values need no rule: an obs.Family declares its value set when
+// it is registered and counts anything else under its last value, so
+// its cardinality is bounded by construction.
 //
 // internal/obs itself is exempt: the implementation and its tests
 // construct names dynamically on purpose.
@@ -35,27 +30,11 @@ import (
 // Analyzer is the metriclint instance wired into cmd/vettool.
 var Analyzer = &framework.Analyzer{
 	Name: "metriclint",
-	Doc:  "obs hygiene: constant snake_case metric/event names, bounded label values (register-once, bounded cardinality)",
+	Doc:  "obs naming: metric, label-key and event names are constant snake_case strings (register-once)",
 	Run:  run,
 }
 
-// BoundedFact marks a function whose first result is always drawn from
-// a bounded set of strings (every return is constant, a named string
-// type, or itself bounded).
-type BoundedFact struct{}
-
-func (*BoundedFact) AFact() {}
-
-func (*BoundedFact) String() string { return "bounded" }
-
 var snakeRe = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
-
-// registryMethods maps obs receiver type name → method names whose
-// leading string arguments are metric/event names.
-var nameArgCounts = map[string]map[string]int{
-	"Registry": {"Counter": 1, "Gauge": 1, "Histogram": 1, "Family": 2},
-	"Log":      {"Emit": 1},
-}
 
 func run(pass *framework.Pass) error {
 	if pass.TypesInfo == nil || pass.Pkg == nil {
@@ -64,30 +43,10 @@ func run(pass *framework.Pass) error {
 	if framework.PathMatch(pass.Pkg.Path(), []string{"internal/obs"}) {
 		return nil
 	}
-	a := &analysis{
-		pass:      pass,
-		assigns:   make(map[types.Object][]ast.Expr),
-		opaque:    make(map[types.Object]bool),
-		funcDecls: make(map[types.Object]*ast.FuncDecl),
-		funcMemo:  make(map[types.Object]int),
-	}
-	a.collect()
-	a.exportBoundedFacts()
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			recv, method := a.obsMethod(call)
-			if recv == "" {
-				return true
-			}
-			switch {
-			case nameArgCounts[recv][method] > 0:
-				a.checkNames(call, recv, method)
-			case recv == "Family" && method == "With":
-				a.checkWith(call)
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkCall(pass, call)
 			}
 			return true
 		})
@@ -95,406 +54,57 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-type analysis struct {
-	pass *framework.Pass
-	// assigns records every value source of a variable or parameter:
-	// assignment RHS for locals, call-site arguments for parameters of
-	// unexported functions. opaque marks objects with sources the
-	// analysis cannot enumerate (exported-function parameters,
-	// multi-value assignments, range variables).
-	assigns   map[types.Object][]ast.Expr
-	opaque    map[types.Object]bool
-	funcDecls map[types.Object]*ast.FuncDecl
-	funcMemo  map[types.Object]int // 0 unknown, 1 computing/false, 2 bounded
-}
-
-func (a *analysis) collect() {
-	info := a.pass.TypesInfo
-	for _, f := range a.pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj := info.Defs[fd.Name]; obj != nil {
-				a.funcDecls[obj] = fd
-				// Parameters of exported functions have callers this
-				// unit cannot see.
-				if fd.Name.IsExported() && fd.Type.Params != nil {
-					for _, field := range fd.Type.Params.List {
-						for _, name := range field.Names {
-							if p := info.Defs[name]; p != nil {
-								a.opaque[p] = true
-							}
-						}
-					}
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.AssignStmt:
-				if len(v.Lhs) == len(v.Rhs) {
-					for i, lhs := range v.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							if obj := defOrUse(info, id); obj != nil {
-								a.assigns[obj] = append(a.assigns[obj], v.Rhs[i])
-							}
-						}
-					}
-				} else {
-					for _, lhs := range v.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							if obj := defOrUse(info, id); obj != nil {
-								a.opaque[obj] = true
-							}
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				for i, name := range v.Names {
-					obj := info.Defs[name]
-					if obj == nil {
-						continue
-					}
-					if i < len(v.Values) {
-						a.assigns[obj] = append(a.assigns[obj], v.Values[i])
-					} else if len(v.Values) > 0 {
-						a.opaque[obj] = true // multi-value init
-					}
-				}
-			case *ast.RangeStmt:
-				for _, e := range []ast.Expr{v.Key, v.Value} {
-					if id, ok := e.(*ast.Ident); ok && id != nil {
-						if obj := defOrUse(info, id); obj != nil {
-							a.opaque[obj] = true
-						}
-					}
-				}
-			case *ast.CallExpr:
-				a.recordCallArgs(v)
-			case *ast.Ident:
-				// A function referenced outside call position may be
-				// invoked with arguments we cannot see.
-				if obj := info.Uses[v]; obj != nil {
-					if fd, ok := a.funcDecls[obj]; ok && !inCallPosition(f, v) {
-						a.markParamsOpaque(fd)
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-func defOrUse(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
-}
-
-// recordCallArgs maps call-site arguments onto the parameters of
-// in-package unexported functions, making each argument a value source
-// of the parameter.
-func (a *analysis) recordCallArgs(call *ast.CallExpr) {
-	obj := a.calleeObj(call)
-	if obj == nil {
-		return
-	}
-	fd, ok := a.funcDecls[obj]
-	if !ok || fd.Name.IsExported() || fd.Type.Params == nil {
-		return
-	}
-	var params []types.Object
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			params = append(params, a.pass.TypesInfo.Defs[name])
-		}
-	}
-	if call.Ellipsis.IsValid() {
-		a.markParamsOpaque(fd)
-		return
-	}
-	for i, arg := range call.Args {
-		if i >= len(params) {
-			break // variadic tail: unchecked values beyond named params
-		}
-		if params[i] != nil {
-			a.assigns[params[i]] = append(a.assigns[params[i]], arg)
-		}
-	}
-	if len(call.Args) < len(params) {
-		for _, p := range params[len(call.Args):] {
-			if p != nil {
-				a.opaque[p] = true
-			}
-		}
-	}
-}
-
-func (a *analysis) markParamsOpaque(fd *ast.FuncDecl) {
-	if fd.Type.Params == nil {
-		return
-	}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if p := a.pass.TypesInfo.Defs[name]; p != nil {
-				a.opaque[p] = true
-			}
-		}
-	}
-}
-
-// inCallPosition reports whether id is the (possibly selected) callee
-// of a call expression within file f.
-func inCallPosition(f *ast.File, id *ast.Ident) bool {
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			if fun == id {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if fun.Sel == id {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-func (a *analysis) calleeObj(call *ast.CallExpr) types.Object {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return a.pass.TypesInfo.Uses[f]
-	case *ast.SelectorExpr:
-		return a.pass.TypesInfo.Uses[f.Sel]
-	}
-	return nil
-}
-
-// obsMethod resolves call to (receiver type name, method name) when
-// the receiver is a named type called Registry, Family, or Log.
-func (a *analysis) obsMethod(call *ast.CallExpr) (string, string) {
+// checkCall checks the name arguments of a Registry or Log method call:
+// the metric name (plus the label key for Family), or the event type
+// and the kv keys at even offsets after it.
+func checkCall(pass *framework.Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
+	if !ok || len(call.Args) == 0 {
+		return
 	}
-	selection := a.pass.TypesInfo.Selections[sel]
+	switch recvName(pass, sel) + "." + sel.Sel.Name {
+	case "Registry.Counter", "Registry.Gauge", "Registry.Histogram":
+		checkName(pass, call.Args[0], "metric name")
+	case "Registry.Family":
+		checkName(pass, call.Args[0], "metric name")
+		if len(call.Args) > 1 {
+			checkName(pass, call.Args[1], "label key")
+		}
+	case "Log.Emit":
+		checkName(pass, call.Args[0], "event type")
+		if !call.Ellipsis.IsValid() { // spread kv: keys unverifiable
+			for i := 1; i < len(call.Args); i += 2 {
+				checkName(pass, call.Args[i], "event key")
+			}
+		}
+	}
+}
+
+// recvName returns the receiver's named-type name when sel is a method
+// value, "" otherwise.
+func recvName(pass *framework.Pass, sel *ast.SelectorExpr) string {
+	selection := pass.TypesInfo.Selections[sel]
 	if selection == nil || selection.Kind() != types.MethodVal {
-		return "", ""
+		return ""
 	}
 	recv := selection.Recv()
 	if p, ok := recv.(*types.Pointer); ok {
 		recv = p.Elem()
 	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return "", ""
+	if named, ok := recv.(*types.Named); ok {
+		return named.Obj().Name()
 	}
-	switch name := named.Obj().Name(); name {
-	case "Registry", "Family", "Log":
-		return name, sel.Sel.Name
-	}
-	return "", ""
+	return ""
 }
 
-// checkNames validates the leading name arguments of a registry/event
-// call, and for Emit also the keys of the kv pairs.
-func (a *analysis) checkNames(call *ast.CallExpr, recv, method string) {
-	if recv == "Log" { // Emit
-		if len(call.Args) > 0 {
-			a.checkNameExpr(call.Args[0], "event type")
-		}
-		if !call.Ellipsis.IsValid() {
-			// kv pairs follow the type: keys sit at even offsets.
-			for i := 1; i < len(call.Args); i += 2 {
-				a.checkNameExpr(call.Args[i], "event key")
-			}
-		}
+// checkName requires e to be a constant snake_case string.
+func checkName(pass *framework.Pass, e ast.Expr, what string) {
+	tv := pass.TypesInfo.Types[e]
+	if tv.Value == nil || tv.Value.Kind() != constant.String {
+		pass.Reportf(e.Pos(), "%s must be a compile-time constant: dynamic names break register-once and explode the registry (DESIGN §8)", what)
 		return
 	}
-	if len(call.Args) > 0 {
-		a.checkNameExpr(call.Args[0], "metric name")
-	}
-	if method == "Family" && len(call.Args) > 1 {
-		a.checkNameExpr(call.Args[1], "label key")
-	}
-}
-
-// checkNameExpr requires e to be a constant snake_case string, or a
-// variable/parameter all of whose value sources are.
-func (a *analysis) checkNameExpr(e ast.Expr, what string) {
-	state, bad := a.nameState(e, make(map[types.Object]bool))
-	switch state {
-	case nameDynamic:
-		a.pass.Reportf(e.Pos(), "%s must be a compile-time constant: dynamic names break register-once and explode the registry (DESIGN §8)", what)
-	case nameNotSnake:
-		a.pass.Reportf(e.Pos(), "%s %q is not snake_case (want ^[a-z][a-z0-9]*(_[a-z0-9]+)*$, DESIGN §8)", what, bad)
-	}
-}
-
-const (
-	nameOK = iota
-	nameNotSnake
-	nameDynamic
-)
-
-// nameState classifies e as a metric/event name; for nameNotSnake the
-// second result is the offending constant value.
-func (a *analysis) nameState(e ast.Expr, seen map[types.Object]bool) (int, string) {
-	e = ast.Unparen(e)
-	if tv, ok := a.pass.TypesInfo.Types[e]; ok && tv.Value != nil {
-		if tv.Value.Kind() != constant.String {
-			return nameDynamic, ""
-		}
-		if s := constant.StringVal(tv.Value); !snakeRe.MatchString(s) {
-			return nameNotSnake, s
-		}
-		return nameOK, ""
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nameDynamic, ""
-	}
-	obj := a.pass.TypesInfo.Uses[id]
-	if obj == nil || a.opaque[obj] || seen[obj] {
-		return nameDynamic, ""
-	}
-	seen[obj] = true
-	srcs := a.assigns[obj]
-	if len(srcs) == 0 {
-		return nameDynamic, ""
-	}
-	worst, worstVal := nameOK, ""
-	for _, src := range srcs {
-		if s, v := a.nameState(src, seen); s > worst {
-			worst, worstVal = s, v
-		}
-	}
-	return worst, worstVal
-}
-
-// checkWith validates a Family.With label value for boundedness.
-func (a *analysis) checkWith(call *ast.CallExpr) {
-	if len(call.Args) != 1 {
-		return
-	}
-	if !a.bounded(call.Args[0], make(map[types.Object]bool)) {
-		a.pass.Reportf(call.Args[0].Pos(), "label value is unbounded: pass a constant, a named string type, or a value from a bounded helper — per-value series make cardinality explode (DESIGN §8)")
-	}
-}
-
-// bounded reports whether e always evaluates to a value from a
-// compile-time-enumerable set.
-func (a *analysis) bounded(e ast.Expr, seen map[types.Object]bool) bool {
-	e = ast.Unparen(e)
-	info := a.pass.TypesInfo
-	if tv, ok := info.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-		return true
-	}
-	switch v := e.(type) {
-	case *ast.CallExpr:
-		// Conversion whose operand is a named string type: the named
-		// type is an enum by convention, so its value set is bounded.
-		if tv, ok := info.Types[v.Fun]; ok && tv.IsType() {
-			if len(v.Args) == 1 {
-				if named, ok := info.TypeOf(v.Args[0]).(*types.Named); ok {
-					if b, ok := named.Underlying().(*types.Basic); ok && b.Kind() == types.String {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		obj := a.calleeObj(v)
-		if obj == nil {
-			return false
-		}
-		if fd, ok := a.funcDecls[obj]; ok {
-			return a.boundedFunc(obj, fd, seen)
-		}
-		return a.pass.ImportObjectFact(obj, &BoundedFact{})
-	case *ast.Ident:
-		obj := info.Uses[v]
-		if obj == nil || a.opaque[obj] || seen[obj] {
-			return false
-		}
-		seen[obj] = true
-		srcs := a.assigns[obj]
-		if len(srcs) == 0 {
-			return false
-		}
-		for _, src := range srcs {
-			if !a.bounded(src, seen) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// boundedFunc reports whether every return of fd's first result is
-// bounded. Cycles resolve pessimistically.
-func (a *analysis) boundedFunc(obj types.Object, fd *ast.FuncDecl, seen map[types.Object]bool) bool {
-	switch a.funcMemo[obj] {
-	case 1:
-		return false
-	case 2:
-		return true
-	}
-	a.funcMemo[obj] = 1
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Results().Len() < 1 {
-		return false
-	}
-	if b, ok := sig.Results().At(0).Type().Underlying().(*types.Basic); !ok || b.Kind() != types.String {
-		return false
-	}
-	if fd.Body == nil {
-		return false
-	}
-	allBounded := true
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		if !allBounded {
-			return false
-		}
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			return false // its returns are not fd's
-		case *ast.ReturnStmt:
-			if len(v.Results) == 0 {
-				allBounded = false // naked return: sources untracked
-				return false
-			}
-			if !a.bounded(v.Results[0], seen) {
-				allBounded = false
-			}
-		}
-		return true
-	}
-	ast.Inspect(fd.Body, walk)
-	if allBounded {
-		a.funcMemo[obj] = 2
-	}
-	return allBounded
-}
-
-// exportBoundedFacts publishes BoundedFact for every function whose
-// string result is provably bounded, for cross-package consumers.
-func (a *analysis) exportBoundedFacts() {
-	for obj, fd := range a.funcDecls {
-		if a.boundedFunc(obj, fd, make(map[types.Object]bool)) {
-			a.pass.ExportObjectFact(obj, &BoundedFact{})
-		}
+	if s := constant.StringVal(tv.Value); !snakeRe.MatchString(s) {
+		pass.Reportf(e.Pos(), "%s %q is not snake_case (want ^[a-z][a-z0-9]*(_[a-z0-9]+)*$, DESIGN §8)", what, s)
 	}
 }

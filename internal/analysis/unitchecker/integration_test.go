@@ -2,11 +2,13 @@ package unitchecker_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFactsRoundTripAcrossUnits drives the real `go vet -vettool`
@@ -16,12 +18,16 @@ import (
 // unit's .vetx file; the cmd/xferd unit must then import that same
 // fact through cfg.PackageVetx. ETA_FACTS_LOG records both sides.
 //
-// The test runs under a fresh GOCACHE: cmd/go caches vet results by
-// tool digest, and a cache hit would skip the tool entirely, leaving
-// the log empty.
+// cmd/go caches vet results by tool digest, and a cache hit would skip
+// the tool entirely, leaving the log empty. The tool's -V=full digest
+// hashes its executable, so the test links it with a build ID unique to
+// this run: every vet unit misses the cache, while the compiled
+// standard library stays shared with the ordinary build cache. (A
+// fixed build ID, or t.TempDir's "001" basename, repeats across runs
+// and hits the cache the second time.)
 func TestFactsRoundTripAcrossUnits(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds binaries, shells out to the go tool, and repopulates a scratch GOCACHE")
+		t.Skip("builds binaries and shells out to the go tool")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -34,7 +40,8 @@ func TestFactsRoundTripAcrossUnits(t *testing.T) {
 	tmp := t.TempDir()
 	bin := filepath.Join(tmp, "vettool")
 
-	build := exec.Command(goTool, "build", "-o", bin, "./cmd/vettool")
+	nonce := fmt.Sprintf("factsroundtrip-%d-%d", os.Getpid(), time.Now().UnixNano())
+	build := exec.Command(goTool, "build", "-ldflags=-buildid="+nonce, "-o", bin, "./cmd/vettool")
 	build.Dir = repoRoot
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building vettool: %v\n%s", err, out)
@@ -45,7 +52,6 @@ func TestFactsRoundTripAcrossUnits(t *testing.T) {
 	vet.Dir = repoRoot
 	vet.Env = append(os.Environ(),
 		"GOFLAGS=-mod=mod",
-		"GOCACHE="+filepath.Join(tmp, "gocache"),
 		"ETA_FACTS_LOG="+factsLog,
 	)
 	var stderr bytes.Buffer

@@ -101,10 +101,14 @@ func New(backend string, opts Options) (*Proxy, error) {
 	for conn := range steps {
 		sortSteps(steps[conn])
 	}
+	kinds := make([]string, len(Kinds))
+	for i, k := range Kinds {
+		kinds[i] = string(k)
+	}
 	p := &Proxy{
 		backend:  backend,
 		listenAt: ln.Addr().String(),
-		faults:   opts.Metrics.Family("chaos_faults_injected", "kind"),
+		faults:   opts.Metrics.Family("chaos_faults_injected", "kind", kinds...),
 		trace:    opts.Trace,
 		done:     make(chan struct{}),
 		ln:       ln,

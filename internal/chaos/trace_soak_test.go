@@ -3,7 +3,7 @@ package chaos_test
 import (
 	"bytes"
 	"context"
-	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,14 +16,22 @@ import (
 )
 
 // tracedEnergy is a constant-power cumulative source that records the
-// energy_model_sample curve the offline attribution replays.
+// energy_model_sample curve the offline attribution replays. Like
+// monitor.ModelSource, its first Total primes it at zero and emits no
+// sample.
 type tracedEnergy struct {
+	prime sync.Once
 	start time.Time
 	watts float64
 	log   *obs.Log
 }
 
 func (f *tracedEnergy) Total() (units.Joules, error) {
+	primed := false
+	f.prime.Do(func() { f.start, primed = wallNow(), true })
+	if primed {
+		return 0, nil
+	}
 	j := f.watts * wallNow().Sub(f.start).Seconds()
 	f.log.Emit(obs.EvEnergyModel, "joules_total", j, "watts", f.watts)
 	return units.Joules(j), nil
@@ -57,7 +65,7 @@ func TestChaosSoakTracedSpans(t *testing.T) {
 	})
 	dir := t.TempDir()
 	exec := chaosExec(t, proxy.Addr(), dir, reg, 16, 150*time.Millisecond)
-	exec.Energy = &tracedEnergy{start: wallNow(), watts: 40, log: events}
+	exec.Energy = &tracedEnergy{watts: 40, log: events}
 	exec.Events = events
 	exec.Trace = tracer
 	chunk := dataset.Chunk{Class: dataset.Large, Files: ds.Files, Parallelism: 1, Pipelining: 2}
@@ -94,11 +102,12 @@ func TestChaosSoakTracedSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(forest.Leaked) > 0 || forest.Dangling > 0 {
-		for _, rec := range forest.Leaked {
-			t.Logf("leaked: %s [%s] span %d", rec.Name, rec.Trace, rec.ID)
-		}
-		t.Fatalf("unbalanced forest: %d leaked, %d dangling", len(forest.Leaked), forest.Dangling)
+	span.Attribute(forest)
+	if forest.FinalJoules() <= 0 {
+		t.Fatal("no energy samples in the journal")
+	}
+	if err := forest.Check(0.01); err != nil {
+		t.Fatal(err)
 	}
 	byName := map[string]int{}
 	for _, rec := range forest.ByID {
@@ -111,16 +120,5 @@ func TestChaosSoakTracedSpans(t *testing.T) {
 	// which the forest must show as retry + redial spans.
 	if byName[span.NameChannelRedial] == 0 && byName[span.NameRetry] == 0 {
 		t.Errorf("no redial or retry spans after faults (forest: %v)", byName)
-	}
-
-	span.Attribute(forest)
-	total := forest.FinalJoules()
-	if total <= 0 {
-		t.Fatal("no energy samples in the journal")
-	}
-	sum := forest.SumSelfJoules()
-	if rel := math.Abs(sum-total) / total; rel > 0.01 {
-		t.Errorf("self-joules sum %v vs source total %v (%.2f%% off, want ≤1%%; unattributed %v)",
-			sum, total, rel*100, forest.Unattributed)
 	}
 }

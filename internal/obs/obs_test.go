@@ -31,7 +31,7 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("g").Set(1)
 	r.Gauge("g").Add(2)
 	r.Histogram("h").Observe(3)
-	r.Family("f", "k").With("v").Inc()
+	r.Family("f", "k", "v").With("v").Inc()
 	l.Emit(EvStallDetected, "k", 1)
 	l.SetClock(fixedClock())
 	if got := r.Counter("c").Value(); got != 0 {
@@ -61,10 +61,14 @@ func TestCountersGaugesFamilies(t *testing.T) {
 	if got := r.Gauge("energy_joules").Value(); got != 3.0 {
 		t.Errorf("gauge = %v, want 3.0", got)
 	}
-	f := r.Family("retries_by_cause", "cause")
+	f := r.Family("retries_by_cause", "cause", "redial", "get", "other")
 	f.With("redial").Inc()
 	f.With("redial").Inc()
 	f.With("get").Inc()
+	// Get-or-create: a later registration's values are ignored.
+	if r.Family("retries_by_cause", "cause", "x") != f {
+		t.Error("family not shared by name")
+	}
 
 	s := r.Snapshot()
 	if s.Counters[`retries_by_cause{cause="redial"}`] != 2 {
@@ -73,6 +77,46 @@ func TestCountersGaugesFamilies(t *testing.T) {
 	if s.Counters[`retries_by_cause{cause="get"}`] != 1 {
 		t.Errorf("family member missing from snapshot: %v", s.Counters)
 	}
+	// A declared member appears only once it has counted something.
+	if _, ok := s.Counters[`retries_by_cause{cause="other"}`]; ok {
+		t.Errorf("uncounted family member in snapshot: %v", s.Counters)
+	}
+}
+
+// TestFamilyBoundedByDeclaredValues: whatever callers pass to With, a
+// family holds at most its declared values, and every undeclared value
+// counts under the last one.
+func TestFamilyBoundedByDeclaredValues(t *testing.T) {
+	r := NewRegistry()
+	values := []string{"0", "1", "2", "overflow"}
+	f := r.Family("picks", "endpoint", values...)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		f.With(fmt.Sprint(i)).Inc()
+	}
+	series := 0
+	for name := range r.Snapshot().Counters {
+		if strings.HasPrefix(name, "picks{") {
+			series++
+		}
+	}
+	if series > len(values) {
+		t.Errorf("%d series for %d declared values", series, len(values))
+	}
+	for _, v := range values[:3] {
+		if got := f.With(v).Value(); got != 1 {
+			t.Errorf("picks{endpoint=%q} = %d, want 1", v, got)
+		}
+	}
+	if got := r.Snapshot().Counters[`picks{endpoint="overflow"}`]; got != n-3 {
+		t.Errorf("overflow = %d, want %d", got, n-3)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a family with no declared values did not panic")
+		}
+	}()
+	r.Family("empty", "k")
 }
 
 func TestHistogram(t *testing.T) {
@@ -114,7 +158,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 		r.Counter("b").Add(2)
 		r.Counter("a").Add(1)
 		r.Gauge("z").Set(9)
-		r.Family("f", "k").With("x").Inc()
+		r.Family("f", "k", "x").With("x").Inc()
 		return r
 	}
 	var b1, b2 bytes.Buffer
@@ -285,7 +329,7 @@ func TestConcurrentUse(t *testing.T) {
 				r.Counter("n").Inc()
 				r.Gauge("g").Add(1)
 				r.Histogram("h").Observe(float64(i))
-				r.Family("f", "w").With(fmt.Sprint(w % 2)).Inc()
+				r.Family("f", "w", "0", "1").With(fmt.Sprint(w % 2)).Inc()
 				l.Emit("tick", "w", w)
 			}
 		}(w)

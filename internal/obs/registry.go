@@ -166,29 +166,29 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 }
 
 // Family is a set of counters sharing one name and distinguished by a
-// single label — e.g. retries by cause, or bytes by chunk class. In
-// snapshots each member appears as `name{label="value"}`.
+// single label — e.g. retries by cause, or dials by endpoint. Its label
+// values are declared when it is registered, and a value outside that
+// set counts under the last declared one (the overflow bucket), so a
+// family never holds more series than it declared. In snapshots each
+// member that has counted something appears as `name{label="value"}`.
 type Family struct {
 	name, label string
-
-	mu   sync.Mutex
-	kids map[string]*Counter
+	values      []string
+	kids        []Counter // kids[i] counts values[i]
 }
 
-// With returns the counter for one label value, creating it on first
-// use.
+// With returns the counter for one label value; an undeclared value
+// gets the overflow counter.
 func (f *Family) With(value string) *Counter {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c := f.kids[value]
-	if c == nil {
-		c = &Counter{}
-		f.kids[value] = c
+	for i, v := range f.values {
+		if v == value {
+			return &f.kids[i]
+		}
 	}
-	return c
+	return &f.kids[len(f.kids)-1]
 }
 
 // Registry is a named collection of metrics. Metrics are get-or-create:
@@ -271,8 +271,12 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	return h
 }
 
-// Family returns the labeled counter family, creating it on first use.
-func (r *Registry) Family(name, label string) *Family {
+// Family returns the labeled counter family, creating it on first use
+// with the given label values; the last value is the overflow bucket
+// for any value not in the list. Later calls ignore the values and
+// return the existing family. Family panics if a new family declares
+// no values.
+func (r *Registry) Family(name, label string, values ...string) *Family {
 	if r == nil {
 		return nil
 	}
@@ -283,7 +287,15 @@ func (r *Registry) Family(name, label string) *Family {
 	}
 	f := r.families[name]
 	if f == nil {
-		f = &Family{name: name, label: label, kids: make(map[string]*Counter)}
+		if len(values) == 0 {
+			panic(fmt.Sprintf("obs: family %q declares no label values", name))
+		}
+		f = &Family{
+			name:   name,
+			label:  label,
+			values: append([]string(nil), values...),
+			kids:   make([]Counter, len(values)),
+		}
 		r.families[name] = f
 	}
 	return f
@@ -331,11 +343,11 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters[name] = c.Value()
 	}
 	for name, f := range families {
-		f.mu.Lock()
-		for value, c := range f.kids {
-			s.Counters[fmt.Sprintf("%s{%s=%q}", name, f.label, value)] = c.Value()
+		for i, value := range f.values {
+			if n := f.kids[i].Value(); n > 0 {
+				s.Counters[fmt.Sprintf("%s{%s=%q}", name, f.label, value)] = n
+			}
 		}
-		f.mu.Unlock()
 	}
 	if len(gauges) > 0 {
 		s.Gauges = make(map[string]float64, len(gauges))

@@ -3,8 +3,10 @@ package span
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 )
@@ -18,7 +20,11 @@ type Record struct {
 	Start  time.Time
 	End    time.Time
 	DurMS  float64
-	Bytes  int64
+	// Bytes is what the span_end reported moved; PlannedBytes is the
+	// begin-time "bytes" attr (a transfer root's plan total), 0 when
+	// the begin carried none.
+	Bytes        int64
+	PlannedBytes int64
 	// Joules is the online (inclusive) estimate the span_end carried.
 	Joules float64
 	// SelfJoules is the offline exclusive attribution filled by
@@ -81,12 +87,17 @@ func (f *Forest) FinalJoules() float64 {
 // SpanCount returns how many spans the forest holds.
 func (f *Forest) SpanCount() int { return len(f.ByID) }
 
+// maxDurMS is the longest span duration a time.Duration can hold.
+const maxDurMS = float64(math.MaxInt64 / int64(time.Millisecond))
+
 // ReadForest reconstructs the span forest from a JSONL events stream
 // (the obs.Log format): span_begin/span_end pairs become Records,
 // energy_model_sample events become the energy curve, everything else
 // is skipped. Span ends are anchored as Start+DurMS rather than the
 // span_end event's own timestamp, so a forest survives coarse or
-// slightly skewed event-log clocks.
+// slightly skewed event-log clocks. A span_end whose dur_ms is
+// negative or overflows a time.Duration is an error, so every closed
+// span ends no earlier than it starts.
 func ReadForest(r io.Reader) (*Forest, error) {
 	f := &Forest{ByID: make(map[uint64]*Record)}
 	sc := bufio.NewScanner(r)
@@ -106,11 +117,12 @@ func ReadForest(r io.Reader) (*Forest, error) {
 		switch typ {
 		case "span_begin":
 			rec := &Record{
-				Trace:  str(ev, "trace"),
-				ID:     u64(ev, "span"),
-				Parent: u64(ev, "parent"),
-				Name:   str(ev, "name"),
-				Open:   true,
+				Trace:        str(ev, "trace"),
+				ID:           u64(ev, "span"),
+				Parent:       u64(ev, "parent"),
+				Name:         str(ev, "name"),
+				Open:         true,
+				PlannedBytes: int64(f64(ev, "bytes")),
 			}
 			t, err := evTime(ev)
 			if err != nil {
@@ -126,8 +138,12 @@ func ReadForest(r io.Reader) (*Forest, error) {
 				f.Dangling++
 				continue
 			}
+			dur := f64(ev, "dur_ms")
+			if !(dur >= 0 && dur <= maxDurMS) {
+				return nil, fmt.Errorf("span: line %d: span %d has bad dur_ms %v", lineNo, id, dur)
+			}
 			rec.Open = false
-			rec.DurMS = f64(ev, "dur_ms")
+			rec.DurMS = dur
 			rec.Bytes = int64(f64(ev, "bytes"))
 			rec.Joules = f64(ev, "joules")
 			rec.End = rec.Start.Add(time.Duration(rec.DurMS * float64(time.Millisecond)))
@@ -314,6 +330,44 @@ func (f *Forest) SumSelfJoules() float64 {
 		total += f.ByID[id].SelfJoules
 	}
 	return total
+}
+
+// Check verifies a forest after Attribute: it holds at least one span,
+// no span leaked (began without ending) and no span_end dangles (ended
+// without a begin). When energy was sampled, two identities must hold
+// within tol of FinalJoules: every sampled joule is attributed to a
+// span or to Unattributed (ΣSelfJoules+Unattributed == FinalJoules),
+// and the spans cover the whole curve (ΣSelfJoules == FinalJoules).
+// Every violation is reported, one per line of the joined error.
+func (f *Forest) Check(tol float64) error {
+	if f.SpanCount() == 0 {
+		return errors.New("no spans in the stream")
+	}
+	var errs []error
+	if n := len(f.Leaked); n > 0 {
+		names := make(map[string]int)
+		for _, rec := range f.Leaked {
+			names[rec.Name]++
+		}
+		errs = append(errs, fmt.Errorf("%d leaked spans (span_begin without span_end): %v", n, names))
+	}
+	if f.Dangling > 0 {
+		errs = append(errs, fmt.Errorf("%d dangling span_end events (no matching begin)", f.Dangling))
+	}
+	if total := f.FinalJoules(); total > 0 {
+		attributed := f.SumSelfJoules()
+		if !(math.Abs(attributed+f.Unattributed-total) <= tol*total) {
+			errs = append(errs, fmt.Errorf(
+				"energy accounting broken: attributed %.3fJ + unattributed %.3fJ vs source total %.3fJ",
+				attributed, f.Unattributed, total))
+		}
+		if !(math.Abs(attributed-total) <= tol*total) {
+			errs = append(errs, fmt.Errorf(
+				"per-span joules sum %.3fJ misses source total %.3fJ by %.2f%% (tolerance %.2f%%)",
+				attributed, total, math.Abs(attributed-total)/total*100, tol*100))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // CriticalPath walks root's last-finishing chain: at each node the

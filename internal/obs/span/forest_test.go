@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +88,117 @@ func TestReadForestShapes(t *testing.T) {
 	if got := f.ByID[2].End; !got.Equal(b.epoch.Add(9 * time.Second)) {
 		t.Errorf("chunk End = %v, want start+dur", got)
 	}
+}
+
+// TestReadForestLoopbackRecording reads a recorded loopback transfer
+// (energytransfer -trace): the root keeps its planned byte total apart
+// from the delivered bytes its end reported, and the forest passes
+// Check.
+func TestReadForestLoopbackRecording(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "loopback.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadForest(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Roots) != 1 || f.Roots[0].Name != NameTransfer {
+		t.Fatalf("roots %+v, want one transfer", f.Roots)
+	}
+	root := f.Roots[0]
+	if root.PlannedBytes != 2000000 || root.Bytes != 2000000 {
+		t.Errorf("root planned %d, delivered %d; want 2000000 both", root.PlannedBytes, root.Bytes)
+	}
+	if _, ok := root.Attrs["bytes"]; ok {
+		t.Errorf("envelope key bytes leaked into Attrs: %v", root.Attrs)
+	}
+	Attribute(f)
+	if err := f.Check(0.01); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestForestCheck: each broken identity is reported, all of them in one
+// error.
+func TestForestCheck(t *testing.T) {
+	if err := (&Forest{ByID: map[uint64]*Record{}}).Check(0.01); err == nil {
+		t.Error("empty forest passed Check")
+	}
+
+	b := newStream()
+	b.span(1, 0, NameTransfer, 0, 10*time.Second)
+	b.energy(0, 0)
+	b.energy(10*time.Second, 100)
+	f := b.forest(t)
+	Attribute(f)
+	if err := f.Check(0.01); err != nil {
+		t.Fatalf("balanced, fully covered forest failed Check: %v", err)
+	}
+
+	// Energy past the last span end is unattributed: the coverage
+	// identity breaks while the accounting identity still holds.
+	b = newStream()
+	b.span(1, 0, NameTransfer, 0, 5*time.Second)
+	b.span(2, 0, "leaky", time.Second, -1)
+	b.line("span_end", 3*time.Second, `"span":77,"dur_ms":1`)
+	b.energy(0, 0)
+	b.energy(10*time.Second, 100)
+	f = b.forest(t)
+	Attribute(f)
+	err := f.Check(0.01)
+	if err == nil {
+		t.Fatal("leaked, dangling, half-covered forest passed Check")
+	}
+	msg := err.Error()
+	for _, want := range []string{"1 leaked spans", "map[leaky:1]", "1 dangling", "per-span joules sum 50.000J"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("Check error lacks %q:\n%s", want, msg)
+		}
+	}
+	if strings.Contains(msg, "accounting broken") {
+		t.Errorf("accounting identity holds but was reported:\n%s", msg)
+	}
+	f.Unattributed = 0
+	if msg := fmt.Sprint(f.Check(0.01)); !strings.Contains(msg, "accounting broken") {
+		t.Errorf("lost unattributed energy not reported:\n%s", msg)
+	}
+}
+
+// FuzzReadForest: arbitrary input yields an error or a forest, never a
+// panic; every closed span ends no earlier than it starts; and the
+// offline passes (Attribute, Check, CriticalPath, Chrome export) run to
+// completion on whatever forest comes back.
+func FuzzReadForest(f *testing.F) {
+	rec, err := os.ReadFile(filepath.Join("testdata", "loopback.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec)
+	lines := bytes.SplitAfter(rec, []byte("\n"))
+	torn := bytes.Join(lines[:4], nil)
+	torn = append(torn, lines[4][:len(lines[4])/2]...)
+	f.Add(torn)
+	f.Add([]byte(`{"seq":1,"t":"2026-08-06T10:00:00Z","type":"span_end","trace":"t1","span":9,"parent":0,"name":"get","dur_ms":3,"bytes":10,"joules":1}` + "\n"))
+	f.Add([]byte(`{"t":"2026-08-06T10:00:00Z","type":"span_begin","span":1,"parent":1}` + "\n" +
+		`{"t":"2026-08-06T10:00:00Z","type":"span_end","span":1,"dur_ms":-1}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		forest, err := ReadForest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for id, rec := range forest.ByID {
+			if !rec.Open && rec.End.Before(rec.Start) {
+				t.Fatalf("span %d ends at %v, before its start %v", id, rec.End, rec.Start)
+			}
+		}
+		Attribute(forest)
+		_ = forest.Check(0.01)
+		for _, root := range forest.Roots {
+			CriticalPath(root)
+		}
+		_ = WriteChromeTrace(io.Discard, forest)
+	})
 }
 
 func TestAttributeLeafSplit(t *testing.T) {

@@ -168,8 +168,8 @@ func (c *Client) instruments() *clientInstruments {
 			channelsDialed:  r.Counter("channels_dialed"),
 			stallsDetected:  r.Counter("stalls_detected"),
 			settleMS:        r.Histogram("get_settle_ms"),
-			dialsByEndpoint: r.Family("channels_dialed_by_endpoint", "endpoint"),
-			dialFailsByEP:   r.Family("dial_failures_by_endpoint", "endpoint"),
+			dialsByEndpoint: r.Family("channels_dialed_by_endpoint", "endpoint", endpointLabels...),
+			dialFailsByEP:   r.Family("dial_failures_by_endpoint", "endpoint", endpointLabels...),
 		}
 	})
 	return &c.inst
@@ -408,7 +408,7 @@ func (c *Client) OpenChannel(parallelism int) (*Channel, error) {
 	// openFail books an endpoint-open failure exactly once per path.
 	openFail := func(err error) error {
 		pool.ReportFailure(ep, err)
-		c.instruments().dialFailsByEP.With(endpointLabel(ep)).Inc()
+		c.instruments().dialFailsByEP.With(strconv.Itoa(ep)).Inc()
 		dialSpan.End("error", err.Error())
 		chSpan.End("error", err.Error())
 		return err
@@ -516,7 +516,7 @@ func (c *Client) OpenChannel(parallelism int) (*Channel, error) {
 	pool.ReportSuccess(ep)
 	dialSpan.End("sid", sid)
 	ch.inst.channelsDialed.Inc()
-	ch.inst.dialsByEndpoint.With(endpointLabel(ep)).Inc()
+	ch.inst.dialsByEndpoint.With(strconv.Itoa(ep)).Inc()
 	return ch, nil
 }
 

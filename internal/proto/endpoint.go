@@ -161,42 +161,20 @@ func (p *EndpointPool) instruments() *poolInstruments {
 	p.instOnce.Do(func() {
 		r := p.Metrics
 		p.inst = poolInstruments{
-			picks:      r.Family("endpoint_picks", "endpoint"),
-			failures:   r.Family("endpoint_failures", "endpoint"),
-			blacklists: r.Family("endpoint_blacklists", "endpoint"),
-			recoveries: r.Family("endpoint_recoveries", "endpoint"),
+			picks:      r.Family("endpoint_picks", "endpoint", endpointLabels...),
+			failures:   r.Family("endpoint_failures", "endpoint", endpointLabels...),
+			blacklists: r.Family("endpoint_blacklists", "endpoint", endpointLabels...),
+			recoveries: r.Family("endpoint_recoveries", "endpoint", endpointLabels...),
 		}
 	})
 	return &p.inst
 }
 
-// endpointLabel is the bounded metric label for an endpoint index:
-// small pools label each replica individually, anything past the first
-// eight shares one overflow bucket so label cardinality stays fixed.
-func endpointLabel(i int) string {
-	switch i {
-	case 0:
-		return "0"
-	case 1:
-		return "1"
-	case 2:
-		return "2"
-	case 3:
-		return "3"
-	case 4:
-		return "4"
-	case 5:
-		return "5"
-	case 6:
-		return "6"
-	case 7:
-		return "7"
-	}
-	if i < 0 {
-		return "unknown"
-	}
-	return "8plus"
-}
+// endpointLabels is the label set of the per-endpoint families, which
+// are labelled strconv.Itoa(index): small pools label each replica
+// individually, and every index past the first eight counts under the
+// "8plus" overflow value.
+var endpointLabels = []string{"0", "1", "2", "3", "4", "5", "6", "7", "8plus"}
 
 // Len returns the number of endpoints in the pool.
 func (p *EndpointPool) Len() int {
@@ -274,7 +252,7 @@ func (p *EndpointPool) Pick() (int, string) {
 	}
 	addr := p.eps[best].ep.Addr
 	p.mu.Unlock()
-	p.instruments().picks.With(endpointLabel(best)).Inc()
+	p.instruments().picks.With(strconv.Itoa(best)).Inc()
 	return best, addr
 }
 
@@ -294,7 +272,7 @@ func (p *EndpointPool) ReportSuccess(i int) {
 	s.backoff = 0
 	p.mu.Unlock()
 	if recovered {
-		p.instruments().recoveries.With(endpointLabel(i)).Inc()
+		p.instruments().recoveries.With(strconv.Itoa(i)).Inc()
 		p.Events.Emit(obs.EvEndpointRecovered, "endpoint", i, "addr", s.ep.Addr)
 	}
 }
@@ -328,9 +306,9 @@ func (p *EndpointPool) ReportFailure(i int, err error) {
 		}
 	}
 	p.mu.Unlock()
-	p.instruments().failures.With(endpointLabel(i)).Inc()
+	p.instruments().failures.With(strconv.Itoa(i)).Inc()
 	if blacklist {
-		p.instruments().blacklists.With(endpointLabel(i)).Inc()
+		p.instruments().blacklists.With(strconv.Itoa(i)).Inc()
 		p.Events.Emit(obs.EvEndpointBlacklisted,
 			"endpoint", i,
 			"addr", s.ep.Addr,

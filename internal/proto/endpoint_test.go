@@ -3,6 +3,8 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,16 +261,35 @@ func TestEndpointPoolPerEndpointMetrics(t *testing.T) {
 	}
 }
 
+// TestEndpointLabelBounded: a 40-replica pool books failures under at
+// most the declared endpoint labels, "0"…"7" individually and every
+// later index under "8plus".
 func TestEndpointLabelBounded(t *testing.T) {
-	seen := make(map[string]bool)
-	for i := -2; i < 40; i++ {
-		seen[endpointLabel(i)] = true
+	var eps []Endpoint
+	for i := 0; i < 40; i++ {
+		eps = append(eps, Endpoint{Addr: fmt.Sprintf("10.0.0.%d:1", i)})
 	}
-	if len(seen) > 10 {
-		t.Fatalf("endpointLabel produced %d distinct values, cardinality unbounded", len(seen))
+	pool, err := NewEndpointPool(eps...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !seen["8plus"] || !seen["unknown"] || !seen["0"] || !seen["7"] {
-		t.Fatalf("unexpected label set %v", seen)
+	reg := obs.NewRegistry()
+	pool.Metrics = reg
+	for i := range eps {
+		pool.ReportFailure(i, errors.New("down"))
+	}
+	seen := make(map[string]int64)
+	for name, n := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "endpoint_failures{") {
+			seen[name] = n
+		}
+	}
+	if len(seen) != len(endpointLabels) {
+		t.Errorf("%d endpoint_failures series, want %d: %v", len(seen), len(endpointLabels), seen)
+	}
+	if seen[`endpoint_failures{endpoint="0"}`] != 1 || seen[`endpoint_failures{endpoint="7"}`] != 1 ||
+		seen[`endpoint_failures{endpoint="8plus"}`] != 32 {
+		t.Errorf("unexpected label counts %v", seen)
 	}
 }
 

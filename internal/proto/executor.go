@@ -209,7 +209,7 @@ func newExecInstruments(r *obs.Registry) execInstruments {
 		transfersStarted:  r.Counter("transfers_started"),
 		transfersFinished: r.Counter("transfers_finished"),
 		retriesTotal:      r.Counter("retries_total"),
-		retriesByCause:    r.Family("retries_by_cause", "cause"),
+		retriesByCause:    r.Family("retries_by_cause", "cause", "stall", "checksum", "transport"),
 		channelsRedialed:  r.Counter("channels_redialed"),
 		chunksRealloc:     r.Counter("chunks_reallocated"),
 		energyJoules:      r.Gauge("energy_joules_total"),

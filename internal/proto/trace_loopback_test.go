@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,14 +18,23 @@ import (
 
 // fakeModelEnergy mimics monitor.ModelSource for tracing tests: a
 // constant-power cumulative source that emits an energy_model_sample
-// event (the curve the offline attribution replays) on every Total.
+// event (the curve the offline attribution replays) on every Total but
+// the first. Like ModelSource, the first call primes it: the meter
+// starts at zero then, and no sample is emitted, so the curve starts
+// with the transfer rather than with the fixture's setup.
 type fakeModelEnergy struct {
+	prime sync.Once
 	start time.Time
 	watts float64
 	log   *obs.Log
 }
 
 func (f *fakeModelEnergy) Total() (units.Joules, error) {
+	primed := false
+	f.prime.Do(func() { f.start, primed = time.Now(), true })
+	if primed {
+		return 0, nil
+	}
 	j := f.watts * time.Since(f.start).Seconds()
 	f.log.Emit(obs.EvEnergyModel, "joules_total", j, "watts", f.watts)
 	return units.Joules(j), nil
@@ -58,7 +68,7 @@ func TestTracedLoopback(t *testing.T) {
 		c.Events = events
 		c.Trace = tracer
 	})
-	energy := &fakeModelEnergy{start: time.Now(), watts: 42, log: events}
+	energy := &fakeModelEnergy{watts: 42, log: events}
 	exec := &Executor{
 		Client:      &Client{Addr: srv.Addr(), VerifyChecksums: true},
 		Sink:        NewVerifySink(),
@@ -112,8 +122,14 @@ func TestTracedLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(forest.Leaked) > 0 || forest.Dangling > 0 {
-		t.Fatalf("unbalanced forest: %d leaked, %d dangling", len(forest.Leaked), forest.Dangling)
+	// Balanced, and the exclusive self-joules over the whole forest sum
+	// to the source's final cumulative total within 1%.
+	span.Attribute(forest)
+	if forest.FinalJoules() <= 0 {
+		t.Fatal("no energy samples in the journal")
+	}
+	if err := forest.Check(0.01); err != nil {
+		t.Fatal(err)
 	}
 	byName := map[string]int{}
 	for _, rec := range forest.ByID {
@@ -146,7 +162,11 @@ func TestTracedLoopback(t *testing.T) {
 	if root == nil {
 		t.Fatal("no transfer root")
 	}
-	// The root carries the report's totals.
+	// The root carries the plan's byte total from its begin and the
+	// report's totals from its end.
+	if root.PlannedBytes != int64(ds.TotalSize()) {
+		t.Errorf("transfer root planned %d bytes, dataset has %d", root.PlannedBytes, int64(ds.TotalSize()))
+	}
 	if root.Bytes != int64(r.Bytes) || root.Attrs["files"] != float64(r.Files) ||
 		root.Attrs["retries"] != float64(0) || root.Attrs["sequential"] != false {
 		t.Errorf("transfer root bytes %d, attrs %v; report %d bytes, %d files",
@@ -163,18 +183,5 @@ func TestTracedLoopback(t *testing.T) {
 	}
 	if path := span.CriticalPath(root); len(path) < 2 {
 		t.Errorf("critical path has %d spans, want the root plus at least one child", len(path))
-	}
-
-	// Offline attribution: exclusive self-joules over the whole forest
-	// must sum to the source's final cumulative total within 1%.
-	span.Attribute(forest)
-	total := forest.FinalJoules()
-	if total <= 0 {
-		t.Fatal("no energy samples in the journal")
-	}
-	sum := forest.SumSelfJoules()
-	if rel := math.Abs(sum-total) / total; rel > 0.01 {
-		t.Errorf("self-joules sum %v vs source total %v (%.2f%% off, want ≤1%%; unattributed %v)",
-			sum, total, rel*100, forest.Unattributed)
 	}
 }

@@ -31,8 +31,6 @@ var metrics atomic.Pointer[obs.Registry]
 // activity counters are recorded in.
 func SetMetrics(r *obs.Registry) { metrics.Store(r) }
 
-func counter(name string) *obs.Counter { return metrics.Load().Counter(name) }
-
 // Pool runs tasks on a bounded set of workers.
 //
 // The zero value is not usable; construct with New. A Pool must not be
@@ -74,13 +72,13 @@ func (p *Pool) Go(fn func(ctx context.Context) error) {
 	go func() {
 		defer p.wg.Done()
 		defer func() { <-p.sem }()
-		counter("sched_tasks_started").Inc()
+		metrics.Load().Counter("sched_tasks_started").Inc()
 		if err := fn(p.ctx); err != nil {
-			counter("sched_tasks_failed").Inc()
+			metrics.Load().Counter("sched_tasks_failed").Inc()
 			p.fail(err)
 			return
 		}
-		counter("sched_tasks_completed").Inc()
+		metrics.Load().Counter("sched_tasks_completed").Inc()
 	}()
 }
 
