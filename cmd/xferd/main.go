@@ -19,8 +19,6 @@ import (
 
 	"github.com/didclab/eta/internal/cliutil"
 	"github.com/didclab/eta/internal/dataset"
-	"github.com/didclab/eta/internal/obs"
-	"github.com/didclab/eta/internal/obs/span"
 	"github.com/didclab/eta/internal/proto"
 )
 
@@ -35,59 +33,28 @@ func main() {
 	linkRate := flag.String("link-rate", "", "aggregate link rate cap (e.g. 10gbps)")
 	rtt := flag.Duration("rtt", 0, "emulated control-channel RTT")
 	block := flag.Int("block", proto.DefaultBlockSize, "striping block size in bytes")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /events on this address (e.g. :7633)")
 	stallTimeout := flag.Duration("stall-timeout", 0, "tear down sessions whose control/data writes stall this long (0 disables)")
-	writevBatch := flag.Int("writev-batch", 0, "max blocks gathered into one vectored write on unshaped streams (0 = default 8, 1 disables batching)")
 	crcCache := flag.Bool("crc-cache", true, "cache per-file block CRCs so repeat serves of unchanged files skip re-hashing")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on the first SIGINT/SIGTERM, stop accepting sessions and wait up to this long for in-flight transfers before closing")
-	traceOut := flag.String("trace", "", "record the JSONL event stream with server-side spans to this file (replay with xfertrace)")
-	pprof := flag.Bool("pprof", false, "with -metrics-addr: expose net/http/pprof under /debug/pprof/ on the metrics address")
+	var obsFlags cliutil.ObsFlags
+	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
 
+	o, err := obsFlags.Start()
+	if err != nil {
+		log.Fatalf("xferd: %v", err)
+	}
+	defer o.Close()
 	cfg := proto.ServerConfig{
 		ControlRTT:      *rtt,
 		BlockSize:       *block,
 		StallTimeout:    *stallTimeout,
-		MaxBatchBlocks:  *writevBatch,
 		DisableCRCCache: !*crcCache,
 		Logf:            log.Printf,
+		Metrics:         o.Metrics,
+		Events:          o.Events,
+		Trace:           o.Trace,
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("xferd: -trace: %v", err)
-		}
-		// The buffered log owns f: its deferred Close flushes the tail
-		// of the event stream before closing the file.
-		cfg.Events = obs.NewBufferedLog(f, 0)
-		defer cfg.Events.Close()
-	}
-	var tracer *span.Tracer
-	if *metricsAddr != "" || *traceOut != "" {
-		cfg.Metrics = obs.NewRegistry()
-		if cfg.Events == nil {
-			cfg.Events = obs.NewLog(nil)
-		}
-		tracer = span.NewTracer(cfg.Metrics, cfg.Events)
-		cfg.Trace = tracer
-	}
-	if *metricsAddr != "" {
-		ms, err := obs.ServeOpts(*metricsAddr, obs.HandlerOpts{
-			Registry: cfg.Metrics,
-			Log:      cfg.Events,
-			Spans:    tracer,
-			Pprof:    *pprof,
-		})
-		if err != nil {
-			log.Fatalf("xferd: -metrics-addr: %v", err)
-		}
-		defer ms.Close()
-		log.Printf("xferd: observability on http://%s/metrics, /events and /spans", ms.Addr())
-		if *pprof {
-			log.Printf("xferd: pprof on http://%s/debug/pprof/", ms.Addr())
-		}
-	}
-	var err error
 	if cfg.PerStreamRate, err = cliutil.ParseRate(*streamRate); err != nil {
 		log.Fatalf("xferd: -stream-rate: %v", err)
 	}

@@ -1,6 +1,6 @@
 // Command xfertrace is the flight recorder for traced transfers: it
 // replays a recorded JSONL event stream (obs.Log format, as written by
-// xferd/xferbench/energytransfer with -trace), reconstructs the span
+// xferd or energytransfer with -trace), reconstructs the span
 // forest, and reports where the time and the energy went.
 //
 //	xfertrace run.jsonl                  timeline, critical path, top energy

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -178,19 +179,29 @@ func TestFlightRecorder(t *testing.T) {
 }
 
 // TestCheckRejectsUnbalanced feeds -check a stream whose span never
-// ends and expects a failure.
+// ends, and one whose span is its own parent, and expects each to
+// fail.
 func TestCheckRejectsUnbalanced(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.jsonl")
-	line := `{"seq":1,"t":"2026-08-06T10:00:00Z","type":"span_begin","trace":"t1","span":1,"parent":0,"name":"transfer"}` + "\n"
-	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run([]string{path}, true, 0.01, 10, "", &out); err == nil {
-		t.Fatalf("-check accepted a leaked span:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "leaked") {
-		t.Errorf("failure output %q does not mention the leak", out.String())
+	const begin = `{"seq":1,"t":"2026-08-06T10:00:00Z","type":"span_begin","trace":"t1","span":1,"parent":%d,"name":"transfer"}` + "\n"
+	const end = `{"seq":2,"t":"2026-08-06T10:00:01Z","type":"span_end","trace":"t1","span":1,"parent":1,"name":"transfer","dur_ms":1000}` + "\n"
+	for _, c := range []struct {
+		name, stream, wantOut string
+	}{
+		{"leaked", fmt.Sprintf(begin, 0), "leaked"},
+		// ReadForest refuses the stream, so nothing is printed.
+		{"self-parent", fmt.Sprintf(begin, 1) + end, ""},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.jsonl")
+		if err := os.WriteFile(path, []byte(c.stream), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{path}, true, 0.01, 10, "", &out); err == nil {
+			t.Errorf("%s: -check accepted the stream:\n%s", c.name, out.String())
+			continue
+		}
+		if !strings.Contains(out.String(), c.wantOut) {
+			t.Errorf("%s: failure output %q does not mention %q", c.name, out.String(), c.wantOut)
+		}
 	}
 }

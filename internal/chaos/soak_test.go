@@ -261,8 +261,9 @@ func TestChaosSoakSeededSchedule(t *testing.T) {
 }
 
 // TestChaosSoakVectoredPath drives the vectored writev data plane
-// through a seeded fault schedule: a server with observability on and
-// multi-block batching enabled must deliver byte-identical content
+// through a seeded fault schedule: an unshaped server with
+// observability on, whose 600 KB files span five 128 KB blocks so a
+// stream has backlog to batch, must deliver byte-identical content
 // through corruption and resets, with the client/server retry books
 // reconciled and every served block accounted to a vectored batch.
 func TestChaosSoakVectoredPath(t *testing.T) {
@@ -271,7 +272,6 @@ func TestChaosSoakVectoredPath(t *testing.T) {
 	srv := synthServer(t, ds, func(c *proto.ServerConfig) {
 		c.Metrics = srvReg
 		c.BlockSize = 128 * 1024
-		c.MaxBatchBlocks = 4
 	})
 	reg := obs.NewRegistry()
 	schedule := chaos.SeededSchedule(7, 6, 3, 1<<20)

@@ -1,6 +1,6 @@
-// Package cliutil holds the small parsing helpers shared by the
-// command-line tools: human-friendly byte sizes ("160GB") and data
-// rates ("800mbps").
+// Package cliutil holds what the command-line tools share: parsing of
+// human-friendly byte sizes ("160GB") and data rates ("800mbps"), and
+// the observability flags and wiring of the transfer commands.
 package cliutil
 
 import (
@@ -58,8 +58,10 @@ func ParseRate(s string) (units.Rate, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(u), 64)
-	if err != nil || !(v >= 0) || math.IsInf(v, 1) {
+	r := units.Rate(v) * mult
+	// A finite value can still scale past the float range.
+	if err != nil || !(v >= 0) || math.IsInf(float64(r), 1) {
 		return 0, fmt.Errorf("cliutil: bad rate %q", s)
 	}
-	return units.Rate(v) * mult, nil
+	return r, nil
 }

@@ -33,6 +33,7 @@ func FuzzParseRate(f *testing.F) {
 	f.Add("")
 	f.Add("NaN")
 	f.Add("Infgbps")
+	f.Add("1e300gbps")
 	f.Fuzz(func(t *testing.T, input string) {
 		v, err := ParseRate(input)
 		if err != nil {

@@ -97,7 +97,8 @@ const maxDurMS = float64(math.MaxInt64 / int64(time.Millisecond))
 // span_end event's own timestamp, so a forest survives coarse or
 // slightly skewed event-log clocks. A span_end whose dur_ms is
 // negative or overflows a time.Duration is an error, so every closed
-// span ends no earlier than it starts.
+// span ends no earlier than it starts. So is a span whose parent chain
+// loops, so every span is reached from exactly one root.
 func ReadForest(r io.Reader) (*Forest, error) {
 	f := &Forest{ByID: make(map[uint64]*Record)}
 	sc := bufio.NewScanner(r)
@@ -173,6 +174,9 @@ func ReadForest(r io.Reader) (*Forest, error) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	if id, ok := loopingSpan(f.ByID, ids); ok {
+		return nil, parentCycleError{span: id}
+	}
 	for _, id := range ids {
 		rec := f.ByID[id]
 		if rec.Open {
@@ -185,6 +189,46 @@ func ReadForest(r io.Reader) (*Forest, error) {
 		}
 	}
 	return f, nil
+}
+
+// parentCycleError names a span whose parent chain loops.
+type parentCycleError struct{ span uint64 }
+
+func (e parentCycleError) Error() string {
+	return fmt.Sprintf("span: span %d's parent chain loops back to itself", e.span)
+}
+
+// loopingSpan finds a span on a parent cycle (a span its own parent, or
+// a chain of parents that returns to its start). Such a span would be
+// linked as a child and never reached from a root. Each span is walked
+// once: a chain stops at a root, an unseen parent or a span already
+// walked.
+func loopingSpan(byID map[uint64]*Record, ids []uint64) (uint64, bool) {
+	const onPath, walked = 1, 2
+	state := make(map[uint64]uint8, len(ids))
+	var path []uint64
+	for _, id := range ids {
+		path = path[:0]
+		for cur := id; state[cur] != walked; {
+			if state[cur] == onPath {
+				return cur, true
+			}
+			rec := byID[cur]
+			if rec == nil {
+				break
+			}
+			state[cur] = onPath
+			path = append(path, cur)
+			if rec.Parent == 0 {
+				break
+			}
+			cur = rec.Parent
+		}
+		for _, p := range path {
+			state[p] = walked
+		}
+	}
+	return 0, false
 }
 
 // spanEdge is one begin/end boundary in the attribution sweep.

@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -90,6 +91,34 @@ func TestReadForestShapes(t *testing.T) {
 	}
 }
 
+// TestReadForestRejectsParentCycles: a span on a parent cycle is never
+// reached from a root, so ReadForest names it instead of returning a
+// forest that counts it but shows it in no tree.
+func TestReadForestRejectsParentCycles(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spans [][2]uint64 // {id, parent}
+		want  uint64      // the span the error names
+	}{
+		{"self-parent", [][2]uint64{{1, 1}}, 1},
+		{"two-cycle", [][2]uint64{{1, 0}, {2, 3}, {3, 2}, {4, 2}}, 2},
+	} {
+		b := newStream()
+		for _, sp := range c.spans {
+			b.span(sp[0], sp[1], NameTransfer, 0, time.Second)
+		}
+		f, err := ReadForest(&b.buf)
+		if err == nil {
+			t.Errorf("%s: ReadForest accepted the cycle: %d spans, %d roots", c.name, f.SpanCount(), len(f.Roots))
+			continue
+		}
+		var pc parentCycleError
+		if !errors.As(err, &pc) || pc.span != c.want {
+			t.Errorf("%s: error %v, want one naming span %d", c.name, err, c.want)
+		}
+	}
+}
+
 // TestReadForestLoopbackRecording reads a recorded loopback transfer
 // (energytransfer -trace): the root keeps its planned byte total apart
 // from the delivered bytes its end reported, and the forest passes
@@ -166,7 +195,8 @@ func TestForestCheck(t *testing.T) {
 }
 
 // FuzzReadForest: arbitrary input yields an error or a forest, never a
-// panic; every closed span ends no earlier than it starts; and the
+// panic; every closed span ends no earlier than it starts; every span
+// is reached from exactly one root; and the
 // offline passes (Attribute, Check, CriticalPath, Chrome export) run to
 // completion on whatever forest comes back.
 func FuzzReadForest(f *testing.F) {
@@ -182,6 +212,10 @@ func FuzzReadForest(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"t":"2026-08-06T10:00:00Z","type":"span_end","trace":"t1","span":9,"parent":0,"name":"get","dur_ms":3,"bytes":10,"joules":1}` + "\n"))
 	f.Add([]byte(`{"t":"2026-08-06T10:00:00Z","type":"span_begin","span":1,"parent":1}` + "\n" +
 		`{"t":"2026-08-06T10:00:00Z","type":"span_end","span":1,"dur_ms":-1}` + "\n"))
+	f.Add([]byte(`{"t":"2026-08-06T10:00:00Z","type":"span_begin","span":1,"parent":1,"name":"transfer"}` + "\n" +
+		`{"t":"2026-08-06T10:00:01Z","type":"span_end","span":1,"dur_ms":1000}` + "\n"))
+	f.Add([]byte(`{"t":"2026-08-06T10:00:00Z","type":"span_begin","span":1,"parent":2,"name":"a"}` + "\n" +
+		`{"t":"2026-08-06T10:00:00Z","type":"span_begin","span":2,"parent":1,"name":"b"}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		forest, err := ReadForest(bytes.NewReader(data))
 		if err != nil {
@@ -191,6 +225,20 @@ func FuzzReadForest(f *testing.F) {
 			if !rec.Open && rec.End.Before(rec.Start) {
 				t.Fatalf("span %d ends at %v, before its start %v", id, rec.End, rec.Start)
 			}
+		}
+		reached := 0
+		var walk func(*Record)
+		walk = func(r *Record) {
+			reached++
+			for _, c := range r.Children {
+				walk(c)
+			}
+		}
+		for _, root := range forest.Roots {
+			walk(root)
+		}
+		if reached != forest.SpanCount() {
+			t.Fatalf("%d of %d spans reached from the roots", reached, forest.SpanCount())
 		}
 		Attribute(forest)
 		_ = forest.Check(0.01)

@@ -21,12 +21,17 @@ type Endpoint struct {
 	Weight int
 }
 
+// maxEndpointWeight caps a parsed weight so the pool's weight sum stays
+// far from overflow: smooth weighted round-robin adds every eligible
+// weight into one int on each Pick.
+const maxEndpointWeight = 1 << 20
+
 // ParseEndpoints parses a comma-separated weighted endpoint list, the
 // value of the CLI `-addrs` flag. Each element is `addr` (weight 1),
 // `addr=weight`, or `host:port:weight` — the trailing `:weight` form is
 // only recognized when what precedes it still contains a colon and does
 // not end in `]`, so plain `host:port` and bracketed IPv6 addresses
-// parse as addresses.
+// parse as addresses. Weights run from 1 to 1<<20.
 func ParseEndpoints(list string) ([]Endpoint, error) {
 	var eps []Endpoint
 	for _, part := range strings.Split(list, ",") {
@@ -34,27 +39,23 @@ func ParseEndpoints(list string) ([]Endpoint, error) {
 		if part == "" {
 			continue
 		}
-		addr, weight := part, 1
+		addr, weight := part, "1"
 		if k := strings.LastIndexByte(part, '='); k >= 0 {
-			w, err := strconv.Atoi(part[k+1:])
-			if err != nil || w < 1 {
-				return nil, fmt.Errorf("proto: bad endpoint weight in %q", part)
-			}
-			addr, weight = part[:k], w
+			addr, weight = part[:k], part[k+1:]
 		} else if k := strings.LastIndexByte(part, ':'); k > 0 {
-			head, tail := part[:k], part[k+1:]
+			head := part[:k]
 			if strings.Contains(head, ":") && !strings.HasSuffix(head, "]") {
-				w, err := strconv.Atoi(tail)
-				if err != nil || w < 1 {
-					return nil, fmt.Errorf("proto: bad endpoint weight in %q", part)
-				}
-				addr, weight = head, w
+				addr, weight = head, part[k+1:]
 			}
+		}
+		w, err := strconv.Atoi(weight)
+		if err != nil || w < 1 || w > maxEndpointWeight {
+			return nil, fmt.Errorf("proto: bad endpoint weight in %q (want 1..%d)", part, maxEndpointWeight)
 		}
 		if addr == "" {
 			return nil, fmt.Errorf("proto: empty endpoint address in %q", list)
 		}
-		eps = append(eps, Endpoint{Addr: addr, Weight: weight})
+		eps = append(eps, Endpoint{Addr: addr, Weight: w})
 	}
 	if len(eps) == 0 {
 		return nil, fmt.Errorf("proto: empty endpoint list %q", list)

@@ -32,6 +32,9 @@ func TestParseEndpoints(t *testing.T) {
 		{in: "host1:7001=0", bad: true},
 		{in: "host1:7001=x", bad: true},
 		{in: "host1:7001:0", bad: true},
+		{in: "a:1=1048576", want: []Endpoint{{Addr: "a:1", Weight: 1 << 20}}},
+		{in: "a:1=1048577", bad: true},
+		{in: "a:1=4611686018427387904,b:1=4611686018427387904", bad: true},
 		{in: "", bad: true},
 		{in: " , ", bad: true},
 	}

@@ -85,3 +85,47 @@ func FuzzReadLine(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseEndpoints: any -addrs value is rejected or parsed, never a
+// panic; every accepted endpoint has an address and a weight in
+// [1, maxEndpointWeight]; and for a small accepted list, one window of
+// Σweights picks from a fresh pool hands each endpoint exactly its
+// weight.
+func FuzzParseEndpoints(f *testing.F) {
+	f.Add("host1:7001")
+	f.Add("host1:7001=3,host2:7002")
+	f.Add("[::1]:7001:3,a:1:2")
+	f.Add("a:1=4611686018427387904,b:1=4611686018427387904")
+	f.Add(" , =")
+	f.Fuzz(func(t *testing.T, list string) {
+		eps, err := ParseEndpoints(list)
+		if err != nil {
+			return
+		}
+		sum := 0
+		for _, ep := range eps {
+			if ep.Addr == "" || ep.Weight < 1 || ep.Weight > maxEndpointWeight {
+				t.Fatalf("ParseEndpoints(%q) accepted %+v", list, ep)
+			}
+			sum += ep.Weight
+		}
+		if len(eps) > 8 || sum > 64 {
+			return
+		}
+		pool, err := NewEndpointPool(eps...)
+		if err != nil {
+			t.Fatalf("NewEndpointPool(%+v): %v", eps, err)
+		}
+		picks := make([]int, len(eps))
+		for i := 0; i < sum; i++ {
+			idx, _ := pool.Pick()
+			picks[idx]++
+		}
+		for i, ep := range eps {
+			if picks[i] != ep.Weight {
+				t.Fatalf("%q: endpoint %d picked %d times in a window of %d picks, weight %d",
+					list, i, picks[i], sum, ep.Weight)
+			}
+		}
+	})
+}

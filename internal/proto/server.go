@@ -45,13 +45,6 @@ type ServerConfig struct {
 	ControlRTT time.Duration
 	// BlockSize is the striping unit; DefaultBlockSize when zero.
 	BlockSize int
-	// MaxBatchBlocks caps how many queued blocks one writev gathers on
-	// an unshaped stream. Higher values amortize syscalls when a stream
-	// has backlog; 1 disables multi-block batching (each block is still
-	// one vectored header+payload write). Zero means the default (8).
-	// Shaped streams always write one block at a time so the limiters
-	// keep their pacing granularity.
-	MaxBatchBlocks int
 	// DisableCRCCache turns off the per-file CRC sidecar cache. The
 	// cache only activates for stores implementing Versioner; disabling
 	// it forces every serve to re-hash payload bytes.
@@ -75,16 +68,14 @@ func (c ServerConfig) blockSize() int {
 	return DefaultBlockSize
 }
 
-func (c ServerConfig) maxBatchBlocks() int {
-	if c.MaxBatchBlocks > 0 {
-		return c.MaxBatchBlocks
-	}
-	return 8
-}
-
 // dataDialTimeout bounds how long OPEN waits for the client's data
 // connections to arrive.
 const dataDialTimeout = 10 * time.Second
+
+// maxBatchBlocks caps how many queued blocks one writev gathers on an
+// unshaped stream with backlog, amortizing syscalls without holding
+// more than a few pooled buffers per stream.
+const maxBatchBlocks = 8
 
 func (c ServerConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -643,7 +634,7 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	// coalescing into a single vectored write applies either way).
 	maxBatch := 1
 	if sess.srv.cfg.PerStreamRate == 0 && sess.srv.cfg.LinkRate == 0 {
-		maxBatch = sess.srv.cfg.maxBatchBlocks()
+		maxBatch = maxBatchBlocks
 	}
 	queueDepth := 4
 	if maxBatch > queueDepth {
