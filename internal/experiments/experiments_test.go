@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +183,29 @@ func TestSweepDeterministic(t *testing.T) {
 		}
 	}
 	_ = core.NameBF
+}
+
+// The sweep's ProMC column at a level BF probed is BF's run relabelled,
+// and owns its Samples and Chunks: editing one report must not edit
+// the other.
+func TestSweepProMCIsBFRun(t *testing.T) {
+	s := runSweep(t, testbed.DIDCLAB())
+	for _, l := range s.Levels {
+		p, bf := s.Reports[core.NameProMC][l], s.BF.Reports[l]
+		if p.Algorithm != core.NameProMC || bf.Algorithm != core.NameBF {
+			t.Fatalf("level %d labelled %q and %q", l, p.Algorithm, bf.Algorithm)
+		}
+		p.Algorithm = bf.Algorithm
+		if !reflect.DeepEqual(p, bf) {
+			t.Fatalf("ProMC@%d differs from BF's run at %d", l, l)
+		}
+		if len(p.Samples) == 0 || len(p.Chunks) == 0 {
+			t.Fatalf("ProMC@%d has %d samples and %d chunks", l, len(p.Samples), len(p.Chunks))
+		}
+		if &p.Samples[0] == &bf.Samples[0] || &p.Chunks[0] == &bf.Chunks[0] {
+			t.Errorf("ProMC@%d shares a backing array with BF's report", l)
+		}
+	}
 }
 
 func TestAblationsXSEDE(t *testing.T) {

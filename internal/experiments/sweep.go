@@ -9,6 +9,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/didclab/eta/internal/core"
@@ -45,6 +46,8 @@ type Sweep struct {
 // pool. Each worker writes into a pre-indexed slot keyed by its cell —
 // never appending in completion order — which keeps the result
 // bit-identical to a serial run (asserted by TestRunSweepDeterminism).
+// The one derived column is ProMC at levels up to tb.BFMaxConcurrency:
+// it is BF's run at that level, relabelled.
 func RunSweep(ctx context.Context, tb testbed.Testbed, seed int64) (*Sweep, error) {
 	return runSweepWorkers(ctx, tb, seed, 0)
 }
@@ -109,14 +112,18 @@ func runSweepWorkers(ctx context.Context, tb testbed.Testbed, seed int64, worker
 			mines[i] = r
 			return nil
 		})
-		p.Go(func(ctx context.Context) error {
-			r, err := core.ProMC(ctx, sim(), ds, level)
-			if err != nil {
-				return fmt.Errorf("ProMC@%d: %w", level, err)
-			}
-			promcs[i] = r
-			return nil
-		})
+		// BF runs this same deterministic ProMC at every level up to its
+		// cap; the sweep reuses that run rather than simulating it twice.
+		if level > tb.BFMaxConcurrency {
+			p.Go(func(ctx context.Context) error {
+				r, err := core.ProMC(ctx, sim(), ds, level)
+				if err != nil {
+					return fmt.Errorf("ProMC@%d: %w", level, err)
+				}
+				promcs[i] = r
+				return nil
+			})
+		}
 		p.Go(func(ctx context.Context) error {
 			r, err := core.HTEE(ctx, sim(), ds, level)
 			if err != nil {
@@ -136,6 +143,18 @@ func runSweepWorkers(ctx context.Context, tb testbed.Testbed, seed int64, worker
 	})
 	if err := p.Wait(); err != nil {
 		return nil, err
+	}
+
+	// ProMC at a level BF covered is BF's run, with its own Samples and
+	// Chunks so that no two reports share a backing array.
+	for i, level := range s.Levels {
+		if level <= tb.BFMaxConcurrency {
+			r := bf.Reports[level]
+			r.Algorithm = core.NameProMC
+			r.Samples = slices.Clone(r.Samples)
+			r.Chunks = slices.Clone(r.Chunks)
+			promcs[i] = r
+		}
 	}
 
 	// Deterministic assembly in level order.

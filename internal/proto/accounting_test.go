@@ -34,6 +34,57 @@ func TestExecutorTwoRunsNoCounterBleed(t *testing.T) {
 	}
 }
 
+// wallEnergy is a constant-power cumulative energy source: it has drawn
+// watts since start, across every session that reads it.
+type wallEnergy struct {
+	start time.Time
+	watts float64
+}
+
+func (w wallEnergy) Total() (units.Joules, error) {
+	return units.Joules(w.watts * time.Since(w.start).Seconds()), nil
+}
+
+// TestExecutorSessionsBookOwnEnergy: the energy source is cumulative
+// across sessions, so a second session on the same Executor must book
+// only the joules drawn since its own Start — in its first window and
+// in its report — not the first session's and the idle time's as well.
+func TestExecutorSessionsBookOwnEnergy(t *testing.T) {
+	const watts = 100.0
+	// Joules the report may book beyond watts×Duration: Finish reads the
+	// source after the workers have stopped.
+	const slack = watts * 0.1
+	ds := dataset.NewGenerator(73).Uniform(8, 200*units.KB)
+	exec, _ := newRealExecutor(t, ds, nil)
+	exec.Energy = wallEnergy{start: time.Now(), watts: watts}
+	for run := 0; run < 2; run++ {
+		// Idle time the source keeps counting between sessions.
+		time.Sleep(300 * time.Millisecond)
+		sess, err := exec.Start(context.Background(), planFor(ds, 2, 1, 2))
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		smp, err := sess.Advance(time.Millisecond)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if want := watts * smp.Duration.Seconds(); float64(smp.EndSystemEnergy) > want+slack {
+			t.Errorf("run %d: first window booked %v over %v, want ≈ %.2f J", run, smp.EndSystemEnergy, smp.Duration, want)
+		}
+		r, err := sess.Finish()
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		want := watts * r.Duration.Seconds()
+		if got := float64(r.EndSystemEnergy); got < want*0.9 || got > want+slack {
+			t.Errorf("run %d: report booked %v over %v, want ≈ %.2f J", run, r.EndSystemEnergy, r.Duration, want)
+		}
+		if r.AvgPower != units.Power(r.EndSystemEnergy, r.Duration) {
+			t.Errorf("run %d: AvgPower %v, want EndSystemEnergy/Duration", run, r.AvgPower)
+		}
+	}
+}
+
 // TestFinishDurationStampedAtCompletion: Report.Duration must cover the
 // transfer, not the caller's patience — a controller that sits on a
 // completed session before invoking Finish used to deflate Throughput.

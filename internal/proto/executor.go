@@ -137,6 +137,7 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 	if err != nil {
 		return nil, fmt.Errorf("proto: energy source unusable: %w", err)
 	}
+	s.primed, s.lastEnergy = primed, primed
 	for i := range plan.Chunks {
 		cp := plan.Chunks[i]
 		rc := &realChunk{plan: cp, idx: i}
@@ -339,6 +340,9 @@ type realSession struct {
 	root      *span.Span
 	spansOnce sync.Once
 
+	// primed is the energy source's total at Start: the source is
+	// cumulative across sessions, so windows and the report subtract it.
+	primed     units.Joules
 	lastBytes  units.Bytes
 	lastEnergy units.Joules
 	elapsed    time.Duration
@@ -799,9 +803,10 @@ func (s *realSession) Finish() (transfer.Report, error) {
 	// root span's joules estimate closes against the source's actual
 	// final total rather than an extrapolation.
 	s.exec.Trace.EnergySample(float64(energy))
+	used := energy - s.primed
 	joules := s.root.Joules()
 	if s.root == nil {
-		joules = float64(energy)
+		joules = float64(used)
 	}
 	files, retries := s.files.Load(), s.retries.Load()
 	s.root.AddBytes(int64(bytes))
@@ -819,9 +824,9 @@ func (s *realSession) Finish() (transfer.Report, error) {
 		Throughput:      units.RateOf(bytes, duration),
 		Files:           files,
 		Retries:         retries,
-		EndSystemEnergy: energy,
+		EndSystemEnergy: used,
 		EnergyJoules:    joules,
-		AvgPower:        units.Power(energy, duration),
+		AvgPower:        units.Power(used, duration),
 		Samples:         s.samples,
 	}, nil
 }

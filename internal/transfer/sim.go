@@ -12,8 +12,8 @@ import (
 	"github.com/didclab/eta/internal/units"
 )
 
-// DefaultTick is the simulation quantum. Rates are recomputed and power
-// integrated once per tick; file completions are resolved exactly
+// DefaultTick is the simulation quantum. Power is integrated once per
+// tick at the rates in force; file completions are resolved exactly
 // within a tick.
 const DefaultTick = 100 * time.Millisecond
 
@@ -99,7 +99,6 @@ func (s *Sim) Start(ctx context.Context, plan Plan) (Session, error) {
 		cp := plan.Chunks[i]
 		ch := &simChunk{plan: cp, idx: i}
 		for _, f := range cp.Chunk.Files {
-			ch.queue = append(ch.queue, float64(f.Size))
 			ch.bytesLeft += float64(f.Size)
 		}
 		sess.chunks = append(sess.chunks, ch)
@@ -126,12 +125,11 @@ func chainEnergyPerByte(s *Sim) float64 {
 }
 
 // simChunk is a chunk's live transfer state. Fresh files are consumed
-// from queue[head:]; files returned by de-allocated channels are pushed
-// onto partials and drained first.
+// from plan.Chunk.Files[head:]; files returned by de-allocated channels
+// are pushed onto partials and drained first.
 type simChunk struct {
 	plan        ChunkPlan
 	idx         int // position in the plan
-	queue       []float64
 	head        int
 	partials    []float64
 	bytesLeft   float64
@@ -145,8 +143,8 @@ func (c *simChunk) popFile() (float64, bool) {
 		c.partials = c.partials[:n-1]
 		return f, true
 	}
-	if c.head < len(c.queue) {
-		f := c.queue[c.head]
+	if files := c.plan.Chunk.Files; c.head < len(files) {
+		f := float64(files[c.head].Size)
 		c.head++
 		return f, true
 	}
@@ -154,7 +152,7 @@ func (c *simChunk) popFile() (float64, bool) {
 }
 
 func (c *simChunk) hasQueuedFiles() bool {
-	return len(c.partials) > 0 || c.head < len(c.queue)
+	return len(c.partials) > 0 || c.head < len(c.plan.Chunk.Files)
 }
 
 // simChannel is one data channel: a control connection plus
@@ -166,7 +164,7 @@ type simChannel struct {
 	fileLeft  float64
 	coldLeft  float64
 	gap       time.Duration
-	rate      units.Rate // set each tick
+	rate      units.Rate // set by rates
 }
 
 // srvLoad is one site server's load during a tick.
@@ -197,6 +195,16 @@ type simSession struct {
 	samples    []Sample
 	finished   bool
 	activeConc int
+
+	// Rates and power are pure functions of the event state: which
+	// channels exist and on which chunk and server, which hold a file,
+	// sit in a gap or are still cold, and which chunks have files queued.
+	// dirty is set whenever one of those changes (applyAllocation,
+	// takeFile, a file finishing, a gap reaching 0, a channel leaving
+	// slow start); a tick that starts clean keeps the channels' rates and
+	// books watts, the power integratePower last returned.
+	dirty bool
+	watts units.Watts
 
 	sites [2]*endsys.Server // source and destination server models
 	// Per-tick scratch indexed by site server, cleared and reused every
@@ -271,6 +279,7 @@ func (s *simSession) bytesLeft(i int) float64 { return s.chunks[i].bytesLeft }
 // chunk. Surplus channels return their in-progress file to the chunk;
 // new channels start cold.
 func (s *simSession) applyAllocation(target []int) {
+	s.dirty = true
 	current := make([][]*simChannel, len(s.chunks))
 	for _, ch := range s.channels {
 		current[ch.chunk.idx] = append(current[ch.chunk.idx], ch)
@@ -393,17 +402,40 @@ func (s *simSession) Finish() (Report, error) {
 	return r, nil
 }
 
-// step advances the simulation by dt: assigns files, computes rates,
-// moves bytes, reallocates drained channels, and integrates power.
+// step advances the simulation by dt: assigns files, sets rates, moves
+// bytes and integrates power. Rates and power are recomputed only when
+// the event state changed (see dirty), or every tick when cross
+// traffic moves the path's bandwidth; otherwise the previous tick's
+// values still hold exactly, and bytes, gaps and energy accumulate in
+// the same order either way.
 func (s *simSession) step(dt time.Duration) {
 	s.assignFiles()
+	recompute := s.dirty || s.sim.Background != nil
+	if recompute {
+		s.rates()
+	}
+	s.dirty = false
+	// Move bytes; a channel may finish several small files in one tick.
+	for _, ch := range s.channels {
+		s.advanceChannel(ch, dt)
+	}
+	// Power reads the rates just set and the state after the bytes
+	// moved; an event during the move leaves dirty set for the next
+	// tick's rates too.
+	if recompute || s.dirty {
+		s.watts = s.integratePower()
+	}
+	s.meter.Add(s.watts, dt)
+	s.now += dt
+}
 
-	// Rates for this tick. Bandwidth is shared among the streams that
-	// are actually transferring; channels sitting in a per-file gap do
-	// not reserve link share (their streams are idle), but they still
-	// get a provisional rate so a file picked up mid-tick proceeds
-	// immediately — otherwise gap differences smaller than the tick
-	// would be quantized away and pipelining would appear useless.
+// rates sets every channel's rate for the tick. Bandwidth is shared
+// among the streams that are actually transferring; channels sitting in
+// a per-file gap do not reserve link share (their streams are idle),
+// but they still get a provisional rate so a file picked up mid-tick
+// proceeds immediately — otherwise gap differences smaller than the
+// tick would be quantized away and pipelining would appear useless.
+func (s *simSession) rates() {
 	totalStreams := 0
 	for _, ch := range s.channels {
 		if ch.hasFile {
@@ -446,16 +478,6 @@ func (s *simSession) step(dt time.Duration) {
 		}
 		ch.rate = units.Rate(rate)
 	}
-
-	// Move bytes; a channel may finish several small files in one tick.
-	for _, ch := range s.channels {
-		s.advanceChannel(ch, dt)
-	}
-
-	// Count live channels (for the sample's concurrency) and integrate
-	// power.
-	s.integratePower(dt)
-	s.now += dt
 }
 
 // assignFiles hands queued files to idle channels.
@@ -478,12 +500,14 @@ func (s *simSession) takeFile(ch *simChannel) {
 			return
 		}
 		ch.chunk = s.chunks[next]
+		s.dirty = true
 		if f, ok = ch.chunk.popFile(); !ok {
 			return
 		}
 	}
 	ch.hasFile = true
 	ch.fileLeft = f
+	s.dirty = true
 }
 
 // channelLive reports whether a channel is still part of the transfer
@@ -522,10 +546,13 @@ func (s *simSession) advanceChannel(ch *simChannel, dt time.Duration) {
 			g := ch.gap.Seconds()
 			if g > t {
 				ch.gap -= time.Duration(t * float64(time.Second))
+				// t may round up to the whole gap.
+				s.dirty = s.dirty || ch.gap <= 0
 				return
 			}
 			t -= g
 			ch.gap = 0
+			s.dirty = true
 			// The channel idled at a chunk boundary; it may pick up a
 			// file now.
 			if !ch.hasFile {
@@ -545,6 +572,7 @@ func (s *simSession) advanceChannel(ch *simChannel, dt time.Duration) {
 			s.consume(ch, ch.fileLeft)
 			ch.fileLeft = 0
 			ch.hasFile = false
+			s.dirty = true
 			q := ch.chunk.plan.Pipelining()
 			ch.gap = s.sim.TB.Path.PerFileIdle(q) + s.sim.TB.PerFileOverhead
 			continue
@@ -570,11 +598,13 @@ func (s *simSession) consume(ch *simChannel, bytes float64) {
 	}
 	if ch.coldLeft > 0 {
 		ch.coldLeft -= bytes
+		s.dirty = s.dirty || ch.coldLeft <= 0
 	}
 }
 
-// integratePower books both sites' server power for dt.
-func (s *simSession) integratePower(dt time.Duration) {
+// integratePower returns both sites' server power at the current rates
+// and sets activeConc to the live channel count.
+func (s *simSession) integratePower() units.Watts {
 	clear(s.loads)
 	live := 0
 	for _, ch := range s.channels {
@@ -620,7 +650,7 @@ func (s *simSession) integratePower(dt time.Duration) {
 			total += s.sim.TB.Power.Power(u, l.procs)
 		}
 	}
-	s.meter.Add(total, dt)
+	return total
 }
 
 var _ Executor = (*Sim)(nil)

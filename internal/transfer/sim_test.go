@@ -513,6 +513,22 @@ func midTransfer(tb testing.TB) *simSession {
 	return sess.(*simSession)
 }
 
+// quietTransfer starts a large-file plan on DIDCLAB and runs it 30
+// simulated seconds in, past slow start: a file then finishes every few
+// hundred simulated seconds, so nearly every tick leaves the event state
+// unchanged.
+func quietTransfer(tb testing.TB) *simSession {
+	tb.Helper()
+	sess, err := NewSim(testbed.DIDCLAB()).Start(context.Background(), smallPlan(64, 16*units.GB, 4, 2, 1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := sess.Advance(30 * time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	return sess.(*simSession)
+}
+
 // A tick must allocate nothing: every simulated second behind
 // Figs. 2–7 runs ten of them.
 func TestSimStepAllocatesNothing(t *testing.T) {
@@ -520,11 +536,13 @@ func TestSimStepAllocatesNothing(t *testing.T) {
 	if len(s.chunks) < 2 || len(s.channels) < 4 {
 		t.Fatalf("want a multi-chunk, multi-channel session, got %d chunks, %d channels", len(s.chunks), len(s.channels))
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.step(DefaultTick) }); allocs != 0 {
-		t.Errorf("step allocates %v times per tick, want 0", allocs)
-	}
-	if s.Done() {
-		t.Fatal("session drained during the measurement; it no longer measures a mid-transfer tick")
+	for _, s := range []*simSession{s, quietTransfer(t)} {
+		if allocs := testing.AllocsPerRun(100, func() { s.step(DefaultTick) }); allocs != 0 {
+			t.Errorf("%s: step allocates %v times per tick, want 0", s.sim.TB.Name, allocs)
+		}
+		if s.Done() {
+			t.Fatalf("%s: session drained during the measurement; it no longer measures a mid-transfer tick", s.sim.TB.Name)
+		}
 	}
 }
 
@@ -576,18 +594,28 @@ func TestSimCancelDuringFinish(t *testing.T) {
 	}
 }
 
-// BenchmarkSimStep times one tick of a mid-transfer session; run it
-// with -benchmem to see the per-tick allocations.
+// BenchmarkSimStep times one tick of a mid-transfer session: quiet
+// ticks leave the event state unchanged and reuse the last rates and
+// power; eventful ones (multi-chunk XSEDE, files finishing and gaps
+// expiring) recompute them. Run it with -benchmem to see the per-tick
+// allocations.
 func BenchmarkSimStep(b *testing.B) {
-	b.ReportAllocs()
-	s := midTransfer(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.Done() {
-			b.StopTimer()
-			s = midTransfer(b)
-			b.StartTimer()
-		}
-		s.step(DefaultTick)
+	for _, bc := range []struct {
+		name  string
+		start func(testing.TB) *simSession
+	}{{"quiet", quietTransfer}, {"eventful", midTransfer}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			s := bc.start(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s.Done() {
+					b.StopTimer()
+					s = bc.start(b)
+					b.StartTimer()
+				}
+				s.step(DefaultTick)
+			}
+		})
 	}
 }
