@@ -38,7 +38,6 @@ import (
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/monitor"
 	"github.com/didclab/eta/internal/netem"
-	"github.com/didclab/eta/internal/power"
 	"github.com/didclab/eta/internal/proto"
 	"github.com/didclab/eta/internal/transfer"
 	"github.com/didclab/eta/internal/units"
@@ -172,11 +171,8 @@ func run(o options) (err error) {
 		client.Journal = jr
 	}
 
-	localModel := power.FineGrained{Coeff: power.Coefficients{
-		CPU: power.PaperCPUQuad, Mem: 0.11, Disk: 0.08, NIC: 0.2,
-	}}
 	hostModel := monitor.LocalServerModel(runtime.NumCPU(), bandwidth, 0)
-	energy, usedRAPL, err := monitor.AutoSource(monitor.Monitor{}, hostModel, localModel)
+	energy, usedRAPL, err := monitor.AutoSource(monitor.Monitor{}, hostModel, monitor.LocalPowerModel)
 	if err != nil {
 		return fmt.Errorf("setting up energy estimation: %w", err)
 	}
@@ -297,9 +293,8 @@ func runAlgorithm(ctx context.Context, o options, exec *proto.Executor, ds datas
 	fmt.Printf("%s: %v in %v → %v, energy %v (avg %v)\n",
 		report.Algorithm, report.Bytes, time.Since(start).Round(time.Millisecond),
 		report.Throughput, report.EndSystemEnergy, report.AvgPower)
-	if report.EnergyJoules > 0 && o.obs.Trace != "" {
-		fmt.Printf("span attribution: %.1f J on the transfer root (replay with: xfertrace %s)\n",
-			report.EnergyJoules, o.obs.Trace)
+	if o.obs.Trace != "" {
+		fmt.Printf("per-span energy attribution: xfertrace %s\n", o.obs.Trace)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 // Command powermon prints this host's live component utilization and
-// the power predicted by the paper's fine-grained model (§2.2), plus
-// hardware RAPL readings where available — a tiny standalone version of
-// the measurement layer the transfer algorithms rely on.
+// the power the paper's fine-grained model (§2.2) books for it, plus
+// hardware RAPL readings where available — a tiny standalone view of
+// the measurement layer the transfer algorithms rely on. Each row is
+// one interval exactly as monitor.ModelSource books it during a
+// transfer.
 //
 // Usage:
 //
@@ -9,6 +11,8 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,9 +20,8 @@ import (
 	"time"
 
 	"github.com/didclab/eta/internal/cliutil"
-	"github.com/didclab/eta/internal/endsys"
 	"github.com/didclab/eta/internal/monitor"
-	"github.com/didclab/eta/internal/power"
+	"github.com/didclab/eta/internal/obs"
 	"github.com/didclab/eta/internal/units"
 )
 
@@ -40,10 +43,7 @@ func run(interval time.Duration, count int, nicStr string) error {
 		return err
 	}
 	mon := monitor.Monitor{}
-	server := monitor.LocalServerModel(runtime.NumCPU(), nicRate, 0)
-	model := power.FineGrained{Coeff: power.Coefficients{
-		CPU: power.PaperCPUQuad, Mem: 0.11, Disk: 0.08, NIC: 0.2,
-	}}
+	src, events := newModel(mon, nicRate)
 
 	rapl, haveRAPL, err := monitor.OpenRAPL(mon)
 	if err != nil {
@@ -55,21 +55,12 @@ func run(interval time.Duration, count int, nicStr string) error {
 			haveRAPL = false
 		}
 	}
-
-	prevCPU, err := mon.ReadCPU()
-	if err != nil {
-		return err
-	}
-	prevNet, err := mon.ReadNet("")
-	if err != nil {
-		return err
-	}
-	prevDisk, err := mon.ReadDisk()
-	if err != nil {
+	// The first Total primes the counters and books nothing.
+	if _, err := src.Total(); err != nil {
 		return err
 	}
 
-	fmt.Printf("%-8s %6s %6s %6s %9s %10s", "time", "cpu%", "nic%", "disk%", "model(W)", "net(Mbps)")
+	fmt.Printf("%-8s %6s %6s %6s %9s", "time", "cpu%", "nic%", "disk%", "model(W)")
 	if haveRAPL {
 		fmt.Printf(" %9s", "rapl(W)")
 	}
@@ -77,36 +68,12 @@ func run(interval time.Duration, count int, nicStr string) error {
 
 	for i := 0; count == 0 || i < count; i++ {
 		time.Sleep(interval)
-		cpu, err := mon.ReadCPU()
+		b, err := book(src, events)
 		if err != nil {
 			return err
 		}
-		net, err := mon.ReadNet("")
-		if err != nil {
-			return err
-		}
-		disk, err := mon.ReadDisk()
-		if err != nil {
-			return err
-		}
-		moved := float64(net.RxBytes - prevNet.RxBytes)
-		if tx := float64(net.TxBytes - prevNet.TxBytes); tx > moved {
-			moved = tx
-		}
-		netRate := units.Rate(moved * 8 / interval.Seconds())
-		sectors := float64(disk.SectorsRead-prevDisk.SectorsRead) +
-			float64(disk.SectorsWritten-prevDisk.SectorsWritten)
-		u := endsys.Utilization{
-			CPU:  monitor.CPUUtil(prevCPU, cpu),
-			NIC:  float64(netRate) / float64(server.NICRate) * 100,
-			Disk: sectors * 512 * 8 / interval.Seconds() / float64(server.Disk.MaxRate()) * 100,
-		}
-		u.Mem = u.NIC / 4
-		u = u.Clamp()
-		watts := model.Power(u, 1)
-
-		fmt.Printf("%-8s %6.1f %6.1f %6.1f %9.2f %10.1f",
-			time.Now().Format("15:04:05"), u.CPU, u.NIC, u.Disk, float64(watts), netRate.Mbit())
+		fmt.Printf("%-8s %6.1f %6.1f %6.1f %9.2f",
+			time.Now().Format("15:04:05"), b.CPU, b.NIC, b.Disk, b.Watts)
 		if haveRAPL {
 			if total, err := rapl.Total(); err == nil {
 				fmt.Printf(" %9.2f", float64(total-lastRAPL)/interval.Seconds())
@@ -114,7 +81,37 @@ func run(interval time.Duration, count int, nicStr string) error {
 			}
 		}
 		fmt.Println()
-		prevCPU, prevNet, prevDisk = cpu, net, disk
 	}
 	return nil
+}
+
+// newModel returns the model estimator energytransfer books this host
+// with, recording each booked interval on the returned log.
+func newModel(mon monitor.Monitor, nic units.Rate) (*monitor.ModelSource, *obs.Log) {
+	src := monitor.NewModelSource(mon, monitor.LocalServerModel(runtime.NumCPU(), nic, 0), monitor.LocalPowerModel)
+	src.Events = obs.NewLog(nil)
+	return src, src.Events
+}
+
+// booked is one interval as the model estimator booked it: the fields
+// of its energy_model_sample event.
+type booked struct {
+	CPU   float64 `json:"cpu_pct"`
+	NIC   float64 `json:"nic_pct"`
+	Disk  float64 `json:"disk_pct"`
+	Watts float64 `json:"watts"`
+}
+
+// book has src book the interval since its last sample and returns that
+// interval as src recorded it on events.
+func book(src *monitor.ModelSource, events *obs.Log) (booked, error) {
+	var b booked
+	seq := events.Seq()
+	if _, err := src.Total(); err != nil {
+		return b, err
+	}
+	if events.Seq() == seq {
+		return b, errors.New("no time elapsed since the last sample")
+	}
+	return b, json.Unmarshal(events.Tail(1)[0], &b)
 }

@@ -34,7 +34,6 @@ func main() {
 	rtt := flag.Duration("rtt", 0, "emulated control-channel RTT")
 	block := flag.Int("block", proto.DefaultBlockSize, "striping block size in bytes")
 	stallTimeout := flag.Duration("stall-timeout", 0, "tear down sessions whose control/data writes stall this long (0 disables)")
-	crcCache := flag.Bool("crc-cache", true, "cache per-file block CRCs so repeat serves of unchanged files skip re-hashing")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on the first SIGINT/SIGTERM, stop accepting sessions and wait up to this long for in-flight transfers before closing")
 	var obsFlags cliutil.ObsFlags
 	obsFlags.Register(flag.CommandLine)
@@ -46,14 +45,13 @@ func main() {
 	}
 	defer o.Close()
 	cfg := proto.ServerConfig{
-		ControlRTT:      *rtt,
-		BlockSize:       *block,
-		StallTimeout:    *stallTimeout,
-		DisableCRCCache: !*crcCache,
-		Logf:            log.Printf,
-		Metrics:         o.Metrics,
-		Events:          o.Events,
-		Trace:           o.Trace,
+		ControlRTT:   *rtt,
+		BlockSize:    *block,
+		StallTimeout: *stallTimeout,
+		Logf:         log.Printf,
+		Metrics:      o.Metrics,
+		Events:       o.Events,
+		Trace:        o.Trace,
 	}
 	if cfg.PerStreamRate, err = cliutil.ParseRate(*streamRate); err != nil {
 		log.Fatalf("xferd: -stream-rate: %v", err)

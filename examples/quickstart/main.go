@@ -18,7 +18,6 @@ import (
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/monitor"
 	"github.com/didclab/eta/internal/netem"
-	"github.com/didclab/eta/internal/power"
 	"github.com/didclab/eta/internal/proto"
 	"github.com/didclab/eta/internal/transfer"
 	"github.com/didclab/eta/internal/units"
@@ -53,9 +52,7 @@ func main() {
 	// the paper's fine-grained power model over procfs utilization.
 	energy, usedRAPL, err := monitor.AutoSource(monitor.Monitor{},
 		monitor.LocalServerModel(runtime.NumCPU(), 10*units.Gbps, 0),
-		power.FineGrained{Coeff: power.Coefficients{
-			CPU: power.PaperCPUQuad, Mem: 0.11, Disk: 0.08, NIC: 0.2,
-		}})
+		monitor.LocalPowerModel)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,8 +18,8 @@ import (
 // the same formatting perfbench's per-pass digest uses. A change that
 // is meant to alter simulator output must update them and say why.
 const (
-	goldenDigestAll     = "637b3ce9ddbddfccc7dafad8b962651321d732be4d92453d85b66b2a0e7c76d9"
-	goldenDigestDIDCLAB = "0a4c4eb735ae46c030e86d5be3a4382ae8572d3393b57c210ffe00114f1ce039"
+	goldenDigestAll     = "86f54b9b6c38efe12d01643329e77c5d5fd492dd7e232151ea808779e73f4eb4"
+	goldenDigestDIDCLAB = "d753496d4c1b52c0a8b6e6bdfbc80657b4a2562ac2db40b99c9091c897cb625e"
 )
 
 // simDigest hashes RunSweep and RunSLA on each testbed in order.

@@ -154,6 +154,12 @@ func AutoSource(mon Monitor, server endsys.Server, model power.FineGrained) (Ene
 	return NewModelSource(mon, server, model), false, nil
 }
 
+// LocalPowerModel is the fine-grained power model (§2.2), Eq. 2's CPU
+// curve plus memory, disk and NIC terms, that this host is booked with.
+var LocalPowerModel = power.FineGrained{Coeff: power.Coefficients{
+	CPU: power.PaperCPUQuad, Mem: 0.11, Disk: 0.08, NIC: 0.2,
+}}
+
 // LocalServerModel describes this host well enough for the model
 // estimator: core count from the runtime, NIC and disk rates from the
 // supplied hints.

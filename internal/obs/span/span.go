@@ -303,17 +303,6 @@ func (s *Span) End(attrs ...any) {
 	s.tr.end(s, attrs)
 }
 
-// Joules returns the span's current online energy estimate (cumulative
-// estimate now minus at the span's start).
-func (s *Span) Joules() float64 {
-	if s == nil {
-		return 0
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	return maxF(0, s.tr.energyAtLocked(s.tr.now())-s.startJ)
-}
-
 // ID returns the span's process-unique ID (0 on nil).
 func (s *Span) ID() uint64 {
 	if s == nil {

@@ -48,7 +48,7 @@ func newCRCCache(maxEntries int) *crcCache {
 // open returns the sidecar for one file at the given identity and tile
 // width, invalidating and rebuilding it when any of those changed.
 func (c *crcCache) open(name string, size, mtime int64, tile int) *crcSidecar {
-	if c == nil || size < 0 || tile <= 0 {
+	if size < 0 || tile <= 0 {
 		return nil
 	}
 	c.mu.Lock()

@@ -90,7 +90,7 @@ type epState struct {
 // capped at ProbationCap, while one success clears the record entirely.
 // When every endpoint is dark, Pick returns the one whose blacklist
 // expires soonest instead of failing, so a transfer against a wholly
-// unreachable site keeps feeding the executor's redial/backoff path
+// unreachable site keeps feeding the executor's dial/backoff path
 // rather than erroring out of band.
 //
 // All methods are safe for concurrent use; a nil pool is inert (Len 0).

@@ -46,9 +46,9 @@ type Executor struct {
 	Resume *RecoveryPlan
 	// MaxRetries is how many times a range is re-attempted after a
 	// checksum mismatch (on the same channel) or a channel failure (the
-	// channel is re-dialed), and how many failed re-dials one worker
-	// rides out. Sink errors are never retried. Zero means failures are
-	// fatal.
+	// channel is re-dialed), and how many failed dials (first placement
+	// or re-dial) one worker rides out. Sink errors are never retried.
+	// Zero means failures are fatal.
 	MaxRetries int
 	// Label names the algorithm in reports.
 	Label string
@@ -67,10 +67,10 @@ type Executor struct {
 	Trace *span.Tracer
 }
 
-// redialBackoffCap bounds the exponential backoff between re-dial
+// dialBackoffCap bounds the exponential backoff between dial
 // attempts so a transient outage is probed frequently but a dead server
 // is not hammered.
-const redialBackoffCap = 200 * time.Millisecond
+const dialBackoffCap = 200 * time.Millisecond
 
 // causeOf classifies a failed request for retry accounting: watchdog
 // kills book as "stall", integrity failures as "checksum", everything
@@ -183,11 +183,7 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 	// worker on an empty queue.
 	targets := make([]int, len(s.chunks))
 	transfer.Placement(targets, plan, s.queued)
-	if err := s.reconcile(targets); err != nil {
-		s.stopAll()
-		s.endSpans(err)
-		return nil, err
-	}
+	s.reconcile(targets)
 	s.inst.transfersStarted.Inc()
 	return s, nil
 }
@@ -289,14 +285,11 @@ func (s *realSession) queued(i int) bool { return s.chunks[i].remaining() > 0 }
 
 func (s *realSession) bytesLeft(i int) float64 { return float64(s.chunks[i].remainingBytes()) }
 
-// realWorker is one live channel bound to a chunk.
+// realWorker is one channel slot bound to a chunk: it dials its own
+// channel and re-dials it after a failure.
 type realWorker struct {
 	chunk *realChunk
 	stop  chan struct{} // closed to ask the worker to drain and exit
-
-	// redials counts failed re-dial attempts, each consuming one unit
-	// of the executor's retry budget.
-	redials int
 }
 
 type realSession struct {
@@ -313,11 +306,13 @@ type realSession struct {
 	total     units.Bytes
 	completed units.Bytes
 	firstErr  error
-	finished  bool
 	// fileRefs counts each file's outstanding planned ranges; the range
 	// that decrements it to zero finalizes the file (Sink.Close).
 	fileRefs map[string]int
 
+	// doneCh closes on completion or on the first failure; every worker
+	// stops on it, so a failed session the caller abandons without
+	// Finish stops fetching.
 	doneCh   chan struct{}
 	doneOnce sync.Once
 	// doneAt is stamped inside doneOnce just before doneCh closes, so a
@@ -335,8 +330,7 @@ type realSession struct {
 	received atomic.Int64
 
 	// root is the transfer's root span (nil when untraced); spansOnce
-	// makes endSpans idempotent across the Start-failure and Finish
-	// paths.
+	// makes endSpans idempotent across Finish's paths.
 	root      *span.Span
 	spansOnce sync.Once
 
@@ -350,7 +344,7 @@ type realSession struct {
 }
 
 // retryConsumed books one unit of retry budget, labelled causeOf(err):
-// a range charged by the worker's failure rule, or a failed re-dial
+// a range charged by the worker's failure rule, or a failed dial
 // attempt (file ""). Each consumption is also a point span (begin and
 // end at the same instant) so the flight recorder can place every retry
 // on the timeline by cause.
@@ -365,9 +359,8 @@ func (s *realSession) retryConsumed(file string, attempt int, err error) {
 }
 
 // endSpans finishes the session's chunk spans and root span exactly
-// once, stamping the final joules estimate (Report.EnergyJoules reads
-// the root's estimate just before this). attrs ride the root's
-// span_end when the session succeeded.
+// once, stamping the final joules estimate on the root's span_end.
+// attrs ride the root's span_end when the session succeeded.
 func (s *realSession) endSpans(cause error, attrs ...any) {
 	s.spansOnce.Do(func() {
 		// Detach the client and journal first: channels dialed or flushes
@@ -388,8 +381,10 @@ func (s *realSession) endSpans(cause error, attrs ...any) {
 	})
 }
 
-// reconcile adjusts live workers per chunk to the target allocation.
-func (s *realSession) reconcile(targets []int) error {
+// reconcile adjusts live workers per chunk to the target allocation. It
+// only starts and stops workers: each new worker dials its own channel,
+// so the session lock is never held across network I/O.
+func (s *realSession) reconcile(targets []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.workers == nil {
@@ -410,32 +405,25 @@ func (s *realSession) reconcile(targets []int) error {
 		}
 		for len(have) < want {
 			w := &realWorker{chunk: rc, stop: make(chan struct{})}
-			ch, err := s.exec.Client.OpenChannel(rc.plan.Parallelism())
-			if err != nil {
-				return fmt.Errorf("proto: opening channel: %w", err)
-			}
-			s.events.Emit(obs.EvChannelPlaced,
-				"chunk", rc.idx,
-				"endpoint", ch.Endpoint(),
-				"addr", ch.EndpointAddr())
 			s.workers[w] = struct{}{}
 			have = append(have, w)
 			s.wg.Add(1)
-			go s.runWorker(w, ch)
+			go s.runWorker(w)
 		}
 	}
-	return nil
 }
 
-// runWorker pumps ranges from the worker's chunk through its channel,
-// keeping the chunk's pipelining depth of GETs outstanding. Every failed
-// GET, at issue or at settle, goes through one rule: onFailure.
-func (s *realSession) runWorker(w *realWorker, ch *Channel) {
+// runWorker dials the worker's channel, then pumps ranges from its
+// chunk through it, keeping the chunk's pipelining depth of GETs
+// outstanding. Every failed GET, at issue or at settle, goes through one
+// rule: onFailure.
+func (s *realSession) runWorker(w *realWorker) {
 	type inflight struct {
 		p *pendingGet
 		q queuedRange
 	}
 	var window []inflight
+	var ch *Channel
 
 	// The channel closes (ending its span) before wg.Done, so Finish
 	// never returns ahead of a worker's teardown.
@@ -446,49 +434,52 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 		}
 	}()
 
-	// redial replaces a broken channel. A transient OpenChannel failure
-	// does not fail the session while the worker's own budget remains:
-	// each failed attempt books one retry and the next attempt waits a
-	// capped exponential backoff, so the worker rides out short listener
-	// outages.
-	redial := func(cause error) bool {
-		// The redial span covers the whole backoff loop: its duration is
-		// the worker's dead time, the interval a tuner would read as
-		// "bytes stalled on recovery".
-		rsp := s.root.Child(span.NameChannelRedial,
-			"chunk", w.chunk.idx, "cause", fmt.Sprint(cause))
-		backoff := 5 * time.Millisecond
-		for {
+	// dial opens the worker's channel: its first (cause nil), or the
+	// replacement for one that broke with cause. Each failed attempt
+	// books one retry on the worker's own count and blames the endpoint
+	// it drew; the next waits a capped exponential backoff, so the
+	// worker rides out short outages and dead replicas. A re-dial's span
+	// covers the whole loop: the worker's dead time, the interval a
+	// tuner would read as "bytes stalled on recovery".
+	failedDials := 0
+	dial := func(cause error) bool {
+		var rsp *span.Span
+		if cause != nil {
+			rsp = s.root.Child(span.NameChannelRedial, "chunk", w.chunk.idx, "cause", fmt.Sprint(cause))
+		}
+		for backoff := 5 * time.Millisecond; ; backoff = min(2*backoff, dialBackoffCap) {
 			next, err := s.exec.Client.OpenChannel(w.chunk.plan.Parallelism())
 			if err == nil {
 				ch = next
-				s.inst.channelsRedialed.Inc()
-				rsp.End("failed_attempts", w.redials,
-					"endpoint", next.Endpoint(), "addr", next.EndpointAddr())
+				if cause == nil {
+					s.events.Emit(obs.EvChannelPlaced, "chunk", w.chunk.idx, "endpoint", ch.Endpoint(), "addr", ch.EndpointAddr())
+				} else {
+					s.inst.channelsRedialed.Inc()
+					rsp.End("failed_attempts", failedDials, "endpoint", ch.Endpoint(), "addr", ch.EndpointAddr())
+				}
 				return true
 			}
-			w.redials++
-			s.retryConsumed("", w.redials, err)
-			if w.redials > s.exec.MaxRetries {
-				s.fail(fmt.Errorf("proto: re-dialing after %v: %w", cause, err))
+			failedDials++
+			s.retryConsumed("", failedDials, err)
+			if failedDials > s.exec.MaxRetries {
 				rsp.End("error", err.Error())
+				if cause == nil {
+					s.fail(fmt.Errorf("proto: opening channel: %w", err))
+				} else {
+					s.fail(fmt.Errorf("proto: re-dialing after %v: %w", cause, err))
+				}
 				return false
 			}
 			select {
-			case <-w.stop:
-				// Teardown while the server is unreachable: the window
-				// is already requeued for other workers; just exit.
-				rsp.End("error", "worker stopped")
-				return false
+			case <-time.After(backoff):
+				continue
 			case <-s.ctxDone():
 				s.fail(s.ctx.Err())
-				rsp.End("error", s.ctx.Err().Error())
-				return false
-			case <-time.After(backoff):
+			case <-w.stop: // teardown while unreachable: the window is already requeued
+			case <-s.doneCh:
 			}
-			if backoff *= 2; backoff > redialBackoffCap {
-				backoff = redialBackoffCap
-			}
+			rsp.End("error", "stopped")
+			return false
 		}
 	}
 	// onFailure is the worker's one failure rule for err, raised by the
@@ -535,7 +526,7 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 			s.fail(fmt.Errorf("proto: transfer failed after %d retries: %w", s.exec.MaxRetries, err))
 			return false
 		}
-		return keep || redial(err)
+		return keep || dial(err)
 	}
 	// settle waits for the oldest request and reports whether the
 	// worker should continue.
@@ -567,17 +558,22 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 		}
 	}
 
+	if !dial(nil) {
+		return
+	}
 	for {
 		select {
 		case <-w.stop:
 			drain()
 			return
-		default:
-		}
-		if s.ctx != nil && s.ctx.Err() != nil {
+		case <-s.doneCh:
+			drain()
+			return
+		case <-s.ctxDone():
 			drain()
 			s.fail(s.ctx.Err())
 			return
+		default:
 		}
 		pipe := w.chunk.plan.Pipelining()
 		issued := false
@@ -767,7 +763,8 @@ func (s *realSession) SetTotalChannels(n int) error {
 	if !transfer.SplitByWeight(targets, n, s.weight, s.queued) {
 		return nil
 	}
-	return s.reconcile(targets)
+	s.reconcile(targets)
+	return nil
 }
 
 // SetAllocation implements transfer.Session.
@@ -775,7 +772,8 @@ func (s *realSession) SetAllocation(channels []int) error {
 	if err := transfer.CheckAllocation(channels, len(s.chunks), s.exec.Environment.MaxChannels); err != nil {
 		return err
 	}
-	return s.reconcile(channels)
+	s.reconcile(channels)
+	return nil
 }
 
 // Finish implements transfer.Session.
@@ -804,16 +802,9 @@ func (s *realSession) Finish() (transfer.Report, error) {
 	// final total rather than an extrapolation.
 	s.exec.Trace.EnergySample(float64(energy))
 	used := energy - s.primed
-	joules := s.root.Joules()
-	if s.root == nil {
-		joules = float64(used)
-	}
 	files, retries := s.files.Load(), s.retries.Load()
 	s.root.AddBytes(int64(bytes))
 	s.endSpans(nil, "files", files, "retries", retries)
-	s.mu.Lock()
-	s.finished = true
-	s.mu.Unlock()
 	s.inst.transfersFinished.Inc()
 	s.inst.energyJoules.Set(float64(energy))
 	return transfer.Report{
@@ -825,7 +816,6 @@ func (s *realSession) Finish() (transfer.Report, error) {
 		Files:           files,
 		Retries:         retries,
 		EndSystemEnergy: used,
-		EnergyJoules:    joules,
 		AvgPower:        units.Power(used, duration),
 		Samples:         s.samples,
 	}, nil

@@ -45,10 +45,6 @@ type ServerConfig struct {
 	ControlRTT time.Duration
 	// BlockSize is the striping unit; DefaultBlockSize when zero.
 	BlockSize int
-	// DisableCRCCache turns off the per-file CRC sidecar cache. The
-	// cache only activates for stores implementing Versioner; disabling
-	// it forces every serve to re-hash payload bytes.
-	DisableCRCCache bool
 	// StallTimeout bounds every control and data write: a client that
 	// stops draining its sockets (black-holed, frozen, or gone without
 	// a reset) turns into a write timeout instead of a goroutine parked
@@ -90,8 +86,8 @@ type Server struct {
 	link *Limiter
 	inst serverInstruments
 
-	// crcSidecars caches per-file block CRCs across serves; nil when the
-	// cache is disabled.
+	// crcSidecars caches per-file block CRCs across serves of a store
+	// that implements Versioner.
 	crcSidecars *crcCache
 
 	mu       sync.Mutex
@@ -124,10 +120,11 @@ func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("proto: server needs a store")
 	}
 	s := &Server{
-		cfg:      cfg,
-		ln:       ln,
-		link:     NewLimiter(cfg.LinkRate),
-		sessions: make(map[uint64]*serverSession),
+		cfg:         cfg,
+		ln:          ln,
+		link:        NewLimiter(cfg.LinkRate),
+		sessions:    make(map[uint64]*serverSession),
+		crcSidecars: newCRCCache(0),
 		inst: serverInstruments{
 			sessionsTotal:    cfg.Metrics.Counter("server_sessions_total"),
 			sessionsRejected: cfg.Metrics.Counter("server_sessions_rejected"),
@@ -141,9 +138,6 @@ func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 			crcCacheMisses:   cfg.Metrics.Counter("server_crc_cache_misses"),
 			sendfileBlocks:   cfg.Metrics.Counter("server_sendfile_blocks"),
 		},
-	}
-	if !cfg.DisableCRCCache {
-		s.crcSidecars = newCRCCache(0)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -604,7 +598,7 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	// queued as a file range and sent by sendfile. Every other block is
 	// read into a pooled buffer.
 	var sidecar *crcSidecar
-	if sess.srv.crcSidecars != nil && req.Offset%int64(blockSize) == 0 {
+	if req.Offset%int64(blockSize) == 0 {
 		if v, ok := sess.srv.cfg.Store.(Versioner); ok {
 			if size, mtime, ok := v.Version(req.Name); ok {
 				sidecar = sess.srv.crcSidecars.open(req.Name, size, mtime, blockSize)

@@ -83,16 +83,6 @@ func TestTracedLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.EnergyJoules <= 0 {
-		t.Errorf("Report.EnergyJoules = %v, want > 0", r.EnergyJoules)
-	}
-	// The root span covers (essentially) the whole source interval, so
-	// its online estimate must be close to the report's source total.
-	if rel := math.Abs(r.EnergyJoules-float64(r.EndSystemEnergy)) / float64(r.EndSystemEnergy); rel > 0.05 {
-		t.Errorf("EnergyJoules %v vs EndSystemEnergy %v (%.1f%% off)",
-			r.EnergyJoules, r.EndSystemEnergy, rel*100)
-	}
-
 	// Server sessions (and their spans) close when the server does.
 	srv.Close()
 	waitNoLiveSpans(t, tracer)
@@ -161,6 +151,16 @@ func TestTracedLoopback(t *testing.T) {
 	}
 	if root == nil {
 		t.Fatal("no transfer root")
+	}
+	// The root span covers (essentially) the whole source interval, so
+	// the online estimate its span_end carried must be close to the
+	// report's source total.
+	if root.Joules <= 0 {
+		t.Errorf("transfer root joules = %v, want > 0", root.Joules)
+	}
+	if rel := math.Abs(root.Joules-float64(r.EndSystemEnergy)) / float64(r.EndSystemEnergy); rel > 0.05 {
+		t.Errorf("transfer root joules %v vs EndSystemEnergy %v (%.1f%% off)",
+			root.Joules, r.EndSystemEnergy, rel*100)
 	}
 	// The root carries the plan's byte total from its begin and the
 	// report's totals from its end.

@@ -303,33 +303,6 @@ func TestCRCCacheHitsAndInvalidation(t *testing.T) {
 	}
 }
 
-func TestCRCCacheDisabled(t *testing.T) {
-	ds := dataset.NewGenerator(5).Uniform(1, 512*units.KB)
-	reg := obs.NewRegistry()
-	srv := synthServer(t, ds, func(c *ServerConfig) {
-		c.Metrics = reg
-		c.DisableCRCCache = true
-	})
-	client := &Client{Addr: srv.Addr(), VerifyChecksums: true}
-	ch, err := client.OpenChannel(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ch.Close()
-	for i := 0; i < 2; i++ {
-		sink := NewVerifySink()
-		if _, err := ch.Fetch(ds.Files, 1, sink); err != nil {
-			t.Fatal(err)
-		}
-		if bad := sink.Corrupt(); len(bad) > 0 {
-			t.Errorf("fetch %d corrupted: %v", i, bad)
-		}
-	}
-	if h, m := reg.Counter("server_crc_cache_hits").Value(), reg.Counter("server_crc_cache_misses").Value(); h != 0 || m != 0 {
-		t.Errorf("disabled cache counted hits=%d misses=%d, want 0/0", h, m)
-	}
-}
-
 func TestCRCCacheEviction(t *testing.T) {
 	c := newCRCCache(2)
 	c.open("a", 100, 1, 64)

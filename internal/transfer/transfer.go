@@ -207,11 +207,6 @@ type Report struct {
 	AvgPower        units.Watts
 	PeakPower       units.Watts
 
-	// EnergyJoules is the energy attributed to this transfer's root span
-	// by the tracer (the span-based figure; equals EndSystemEnergy for
-	// untraced runs). Filled by the real-TCP executor.
-	EnergyJoules float64
-
 	// Samples is the five-second timeline (empty unless requested).
 	Samples []Sample
 	// Chunks records per-chunk completion (simulated runs).
