@@ -2,10 +2,10 @@
 // binary bundling the invariant analyzers under internal/analysis that
 // turn the determinism, buffer-ownership, deadline-I/O, error-taxonomy
 // and telemetry-hygiene rules of DESIGN.md §6–§9 into machine-checked
-// CI gates (scripts/lint.sh). Analyzers exchange per-object facts
-// through the vet .vetx channel, so interprocedural properties
-// (pool-releasing helpers, deadline-disciplined forwarders, sentinel
-// errors) survive package boundaries.
+// CI gates (scripts/lint.sh). Each analyzer sees one package at a
+// time; interprocedural properties (pool-releasing helpers,
+// deadline-disciplined forwarders) are fixpoints over that package's
+// functions, and dependency units are skipped (DESIGN.md §7.0).
 //
 // The analyzer list below is mirrored in DESIGN.md §7.1; CI asserts
 // the two stay in sync.

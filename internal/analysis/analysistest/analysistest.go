@@ -9,24 +9,12 @@
 // matched by a distinct diagnostic on that line, and every diagnostic
 // must be expected by some expression.
 //
-// A want comment may also assert exported facts with the form
-//
-//	func release(p *[]byte) { put(p) } // want fact:`releases`
-//
-// The pattern is matched against "<object name>:<fact value>" (the
-// fact rendered with %v) for each fact the analyzer exported for an
-// object declared on that line. Every fact expectation must match some
-// exported fact — so a neutered analyzer fails the fixture — but facts
-// without expectations are not errors: analyzers export facts
-// wholesale and fixtures annotate only the ones under test.
-//
 // Fixture packages may import only the standard library — they are
 // typechecked with the stdlib source importer so no pre-built export
 // data is needed.
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -105,13 +93,12 @@ func runOne(t *testing.T, testdata string, a *framework.Analyzer, pkgpath string
 		t.Fatalf("%s: fixture does not typecheck: %v", pkgpath, typeErrs[0])
 	}
 
-	store := framework.NewFactStore()
-	diags, err := framework.Run(fset, files, pkg, info, []*framework.Analyzer{a}, store)
+	diags, err := framework.Run(fset, files, pkg, info, []*framework.Analyzer{a})
 	if err != nil {
 		t.Fatalf("%s: %v", pkgpath, err)
 	}
 
-	wants, factWants := collectWants(t, fset, files)
+	wants := collectWants(t, fset, files)
 	for _, d := range diags {
 		posn := fset.Position(d.Pos)
 		key := posKey{filepath.Base(posn.Filename), posn.Line}
@@ -129,44 +116,23 @@ func runOne(t *testing.T, testdata string, a *framework.Analyzer, pkgpath string
 		}
 	}
 
-	// Facts: every expectation must be satisfied by a fact exported for
-	// an object declared on its line; unexpected facts are fine.
-	for _, of := range store.ExportedFacts() {
-		if of.Obj == nil {
-			continue
+	var keys []posKey
+	for k := range wants {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].file != keys[j].file {
+			return keys[i].file < keys[j].file
 		}
-		posn := fset.Position(of.Obj.Pos())
-		key := posKey{filepath.Base(posn.Filename), posn.Line}
-		text := fmt.Sprintf("%s:%v", of.Obj.Name(), of.Fact)
-		for _, exp := range factWants[key] {
-			if !exp.matched && exp.re.MatchString(text) {
-				exp.matched = true
-				break
+		return keys[i].line < keys[j].line
+	})
+	for _, k := range keys {
+		for _, exp := range wants[k] {
+			if !exp.matched {
+				t.Errorf("%s:%d: expected diagnostic matching %s, got none", k.file, k.line, exp.raw)
 			}
 		}
 	}
-
-	report := func(wants map[posKey][]*expectation, kind string) {
-		var keys []posKey
-		for k := range wants {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].file != keys[j].file {
-				return keys[i].file < keys[j].file
-			}
-			return keys[i].line < keys[j].line
-		})
-		for _, k := range keys {
-			for _, exp := range wants[k] {
-				if !exp.matched {
-					t.Errorf("%s:%d: expected %s matching %s, got none", k.file, k.line, kind, exp.raw)
-				}
-			}
-		}
-	}
-	report(wants, "diagnostic")
-	report(factWants, "fact")
 }
 
 type posKey struct {
@@ -174,30 +140,16 @@ type posKey struct {
 	line int
 }
 
-// wantRe captures the payload of a want comment; factRe pulls out each
-// fact:"..." expectation within it; quotedRe pulls out each remaining
-// Go-quoted regular expression.
+// wantRe captures the payload of a want comment; quotedRe pulls out
+// each Go-quoted regular expression within it.
 var (
 	wantRe   = regexp.MustCompile(`//\s*want\s+(.*)$`)
-	factRe   = regexp.MustCompile("fact:(`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")")
 	quotedRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 )
 
-func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) (wants, factWants map[posKey][]*expectation) {
+func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[posKey][]*expectation {
 	t.Helper()
-	wants = make(map[posKey][]*expectation)
-	factWants = make(map[posKey][]*expectation)
-	compile := func(key posKey, q string) *expectation {
-		pat, err := strconv.Unquote(q)
-		if err != nil {
-			t.Fatalf("%s:%d: bad quoted pattern %s: %v", key.file, key.line, q, err)
-		}
-		re, err := regexp.Compile(pat)
-		if err != nil {
-			t.Fatalf("%s:%d: bad regexp %s: %v", key.file, key.line, q, err)
-		}
-		return &expectation{re: re, raw: q}
-	}
+	wants := make(map[posKey][]*expectation)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -207,22 +159,23 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) (wants, 
 				}
 				posn := fset.Position(c.Slash)
 				key := posKey{filepath.Base(posn.Filename), posn.Line}
-				payload := m[1]
-				nWant := 0
-				for _, fm := range factRe.FindAllStringSubmatch(payload, -1) {
-					factWants[key] = append(factWants[key], compile(key, fm[1]))
-					nWant++
-				}
-				payload = factRe.ReplaceAllString(payload, "")
-				for _, q := range quotedRe.FindAllString(payload, -1) {
-					wants[key] = append(wants[key], compile(key, q))
-					nWant++
-				}
-				if nWant == 0 {
+				qs := quotedRe.FindAllString(m[1], -1)
+				if len(qs) == 0 {
 					t.Fatalf("%s:%d: malformed want comment %q", key.file, key.line, c.Text)
+				}
+				for _, q := range qs {
+					pat, err := strconv.Unquote(q)
+					if err != nil {
+						t.Fatalf("%s:%d: bad quoted pattern %s: %v", key.file, key.line, q, err)
+					}
+					re, err := regexp.Compile(pat)
+					if err != nil {
+						t.Fatalf("%s:%d: bad regexp %s: %v", key.file, key.line, q, err)
+					}
+					wants[key] = append(wants[key], &expectation{re: re, raw: q})
 				}
 			}
 		}
 	}
-	return wants, factWants
+	return wants
 }

@@ -1,12 +1,13 @@
 // Package bufown enforces the proto block-buffer ownership rules
 // (DESIGN.md §6.2) for getBlockBuf/putBlockBuf buffers.
 //
-// v2 is interprocedural: a package-wide fixpoint discovers helper
-// functions that release pointer-to-slice parameters (directly or via
-// other helpers) and functions whose return value is a pool buffer,
-// and exports both as framework facts — ReleasesFact and SourceFact —
-// so the knowledge crosses package boundaries under the `go vet
-// -vettool` protocol. On top of that dataflow the analyzer reports:
+// v2 is interprocedural within the package: a fixpoint over its
+// functions discovers helpers that release pointer-to-slice parameters
+// (directly or via other helpers) and functions whose return value is
+// a pool buffer. The pool and every helper over it are unexported
+// internal/proto identifiers, so no other package can call them and
+// nothing needs to be carried across packages. On top of that
+// dataflow the analyzer reports:
 //
 //   - never-released: a buffer acquired and neither released (by
 //     putBlockBuf or a releasing helper) nor handed off.
@@ -32,7 +33,6 @@
 package bufown
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -47,26 +47,6 @@ var Analyzer = &framework.Analyzer{
 	Doc:  "track getBlockBuf/putBlockBuf ownership across helpers: leaks, use-after-put, double-put, and pool escapes",
 	Run:  run,
 }
-
-// ReleasesFact marks a function that releases (putBlockBuf, possibly
-// through other helpers) the pointer-to-byte-slice parameters at the
-// recorded indices.
-type ReleasesFact struct {
-	Params []int `json:"params"`
-}
-
-func (*ReleasesFact) AFact() {}
-
-func (f *ReleasesFact) String() string { return fmt.Sprintf("releases(%v)", f.Params) }
-
-// SourceFact marks a function whose first result is a pool-owned
-// buffer: calling it transfers ownership to the caller exactly like
-// calling getBlockBuf.
-type SourceFact struct{}
-
-func (*SourceFact) AFact() {}
-
-func (*SourceFact) String() string { return "source" }
 
 // protoRoots gates the escape checks: only inside the data plane does
 // a pool buffer exist to escape.
@@ -87,10 +67,15 @@ func run(pass *framework.Pass) error {
 		return nil
 	}
 	fns := collect(pass)
-	fixpoint(pass, fns)
-	exportFacts(pass, fns)
+	byObj := make(map[types.Object]*funcInfo, len(fns))
 	for _, fi := range fns {
-		check(pass, fns, fi)
+		if fi.obj != nil {
+			byObj[fi.obj] = fi
+		}
+	}
+	fixpoint(pass, fns, byObj)
+	for _, fi := range fns {
+		check(pass, byObj, fi)
 	}
 	return nil
 }
@@ -137,15 +122,8 @@ func collect(pass *framework.Pass) []*funcInfo {
 }
 
 // fixpoint propagates releases/source/getVars through in-package helper
-// calls until stable; imported facts seed knowledge about other
-// packages' helpers.
-func fixpoint(pass *framework.Pass, fns []*funcInfo) {
-	byObj := make(map[types.Object]*funcInfo, len(fns))
-	for _, fi := range fns {
-		if fi.obj != nil {
-			byObj[fi.obj] = fi
-		}
-	}
+// calls until stable.
+func fixpoint(pass *framework.Pass, fns []*funcInfo, byObj map[types.Object]*funcInfo) {
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range fns {
@@ -196,27 +174,8 @@ func fixpoint(pass *framework.Pass, fns []*funcInfo) {
 	}
 }
 
-func exportFacts(pass *framework.Pass, fns []*funcInfo) {
-	for _, fi := range fns {
-		if fi.obj == nil {
-			continue
-		}
-		if len(fi.releases) > 0 {
-			idxs := make([]int, 0, len(fi.releases))
-			for i := range fi.releases {
-				idxs = append(idxs, i)
-			}
-			sort.Ints(idxs)
-			pass.ExportObjectFact(fi.obj, &ReleasesFact{Params: idxs})
-		}
-		if fi.source {
-			pass.ExportObjectFact(fi.obj, &SourceFact{})
-		}
-	}
-}
-
 // isGetCall reports whether e acquires a pool buffer: a call to
-// getBlockBuf or to a function carrying SourceFact.
+// getBlockBuf or to an in-package helper that returns one.
 func isGetCall(pass *framework.Pass, byObj map[types.Object]*funcInfo, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -225,39 +184,26 @@ func isGetCall(pass *framework.Pass, byObj map[types.Object]*funcInfo, e ast.Exp
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "getBlockBuf" {
 		return true
 	}
-	obj := calleeObj(pass, call)
-	if obj == nil {
-		return false
-	}
-	if fi, ok := byObj[obj]; ok {
-		return fi.source
-	}
-	return pass.ImportObjectFact(obj, &SourceFact{})
+	fi, ok := byObj[calleeObj(pass, call)]
+	return ok && fi.source
 }
 
 // releasedPositions returns the argument indices call releases: [0]
-// for putBlockBuf itself, the fact-recorded indices for helpers.
+// for putBlockBuf itself, the fixpoint's indices for in-package helpers.
 func releasedPositions(pass *framework.Pass, byObj map[types.Object]*funcInfo, call *ast.CallExpr) []int {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "putBlockBuf" {
 		return []int{0}
 	}
-	obj := calleeObj(pass, call)
-	if obj == nil {
+	fi, ok := byObj[calleeObj(pass, call)]
+	if !ok {
 		return nil
 	}
-	if fi, ok := byObj[obj]; ok {
-		var idxs []int
-		for i := range fi.releases {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		return idxs
+	var idxs []int
+	for i := range fi.releases {
+		idxs = append(idxs, i)
 	}
-	var fact ReleasesFact
-	if pass.ImportObjectFact(obj, &fact) {
-		return fact.Params
-	}
-	return nil
+	sort.Ints(idxs)
+	return idxs
 }
 
 func calleeObj(pass *framework.Pass, call *ast.CallExpr) types.Object {
@@ -315,13 +261,7 @@ func rootIdent(e ast.Expr) *ast.Ident {
 }
 
 // check runs the per-function diagnostics for fi.
-func check(pass *framework.Pass, fns []*funcInfo, fi *funcInfo) {
-	byObj := make(map[types.Object]*funcInfo, len(fns))
-	for _, f := range fns {
-		if f.obj != nil {
-			byObj[f.obj] = f
-		}
-	}
+func check(pass *framework.Pass, byObj map[types.Object]*funcInfo, fi *funcInfo) {
 	info := pass.TypesInfo
 	inProto := pass.Pkg != nil && framework.PathMatch(pass.Pkg.Path(), protoRoots)
 

@@ -12,8 +12,8 @@ func TestBufOwn(t *testing.T) {
 }
 
 // TestBufOwnHelpers is the v1 blind-spot regression: buffers released
-// by helpers (tracked via ReleasesFact/SourceFact) must not be flagged,
-// and the facts themselves are asserted so a neutered fixpoint fails.
+// by helpers (found by the in-package fixpoint) must not be flagged,
+// and buffers from source helpers must still be released.
 func TestBufOwnHelpers(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), bufown.Analyzer, "bufownhelper")
 }

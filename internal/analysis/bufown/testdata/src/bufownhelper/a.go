@@ -1,8 +1,8 @@
 // Package bufownhelper is the regression fixture for bufown v1's blind
 // spot: a buffer passed to a helper that releases it. v1 demanded a
 // putBlockBuf identifier in the acquiring function itself and flagged
-// viaHelper below; v2 computes ReleasesFact/SourceFact for helpers and
-// follows the ownership through the call.
+// viaHelper below; v2 finds the releasing and source helpers by a
+// fixpoint over the package and follows the ownership through the call.
 package bufownhelper
 
 var spare [][]byte
@@ -19,20 +19,20 @@ func putBlockBuf(p *[]byte) {
 }
 
 // releaseLater takes ownership of its parameter.
-func releaseLater(p *[]byte) { // want fact:`releaseLater:releases\(\[0\]\)`
+func releaseLater(p *[]byte) {
 	putBlockBuf(p)
 }
 
-// releaseSecond releases a non-leading parameter: the fact records the
-// index, not just "releases something".
-func releaseSecond(tag string, p *[]byte) { // want fact:`releaseSecond:releases\(\[1\]\)`
+// releaseSecond releases a non-leading parameter: the fixpoint records
+// the index, not just "releases something".
+func releaseSecond(tag string, p *[]byte) {
 	_ = tag
 	putBlockBuf(p)
 }
 
 // chained releases through another helper: the fixpoint runs until the
 // transitive closure is stable.
-func chained(p *[]byte) { // want fact:`chained:releases\(\[0\]\)`
+func chained(p *[]byte) {
 	releaseLater(p)
 }
 
@@ -58,8 +58,8 @@ func viaDeferredHelper(n int) int {
 	return len(*bufp)
 }
 
-// inspect only reads; it carries no fact, so its callers still own the
-// buffer.
+// inspect only reads; it releases nothing, so its callers still own
+// the buffer.
 func inspect(p *[]byte) int { return len(*p) }
 
 func viaInspect(n int) int {
@@ -69,7 +69,7 @@ func viaInspect(n int) int {
 
 // newBuf wraps the acquisition: calling it is a get, and the caller
 // owns the result.
-func newBuf(n int) *[]byte { // want fact:`newBuf:source`
+func newBuf(n int) *[]byte {
 	return getBlockBuf(n)
 }
 

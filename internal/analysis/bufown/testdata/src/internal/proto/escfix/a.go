@@ -27,8 +27,8 @@ func NewBlock(n int) *[]byte { // want `pool-backed buffer returned by exported 
 }
 
 // newBlock is the same shape unexported: in-package callers are
-// covered by SourceFact, no escape.
-func newBlock(n int) *[]byte { // want fact:`newBlock:source`
+// covered by the source fixpoint, no escape.
+func newBlock(n int) *[]byte {
 	return getBlockBuf(n)
 }
 

@@ -21,16 +21,15 @@
 // A function is deadline-disciplined for a net.Conn parameter when its
 // body arms a deadline on it, absorbs it (composite-literal wrap or
 // non-local store), or forwards it to another disciplined function —
-// computed as an in-package fixpoint and exported as DisciplinedFact
-// so the property crosses package boundaries through the vet facts
-// channel.
+// computed as a fixpoint over the package's functions. Only
+// internal/proto is checked, and its conn helpers are unexported, so
+// the property never needs to cross a package boundary; a callee from
+// another package counts as undisciplined.
 package deadlineio
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"github.com/didclab/eta/internal/analysis/framework"
@@ -41,23 +40,6 @@ var Analyzer = &framework.Analyzer{
 	Name: "deadlineio",
 	Doc:  "net.Conn Read/Write in internal/proto must have a deadline armed or flow through deadline-disciplined helpers (stall watchdog, DESIGN §6)",
 	Run:  run,
-}
-
-// DisciplinedFact records which net.Conn parameters of a function are
-// deadline-disciplined: armed, absorbed, or forwarded to another
-// disciplined function.
-type DisciplinedFact struct {
-	Params []int
-}
-
-func (*DisciplinedFact) AFact() {}
-
-func (f *DisciplinedFact) String() string {
-	parts := make([]string, len(f.Params))
-	for i, p := range f.Params {
-		parts[i] = fmt.Sprint(p)
-	}
-	return "deadline([" + strings.Join(parts, " ") + "])"
 }
 
 // protoRoots scopes enforcement to the data plane.
@@ -73,7 +55,6 @@ func run(pass *framework.Pass) error {
 	a := &analysis{pass: pass, funcs: make(map[types.Object]*funcInfo)}
 	a.collect()
 	a.fixpoint()
-	a.exportFacts()
 	for _, fi := range a.funcs {
 		if fi.decl.Body != nil && !a.isTestFile(fi.decl) {
 			a.check(fi)
@@ -272,22 +253,8 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 // calleeDisciplined reports whether the function called by call is
 // deadline-disciplined for the parameter receiving argument argIdx.
 func (a *analysis) calleeDisciplined(call *ast.CallExpr, argIdx int) bool {
-	obj := calleeObj(a.pass.TypesInfo, call)
-	if obj == nil {
-		return false
-	}
-	if fi, ok := a.funcs[obj]; ok {
-		return fi.disciplined[argIdx]
-	}
-	var f DisciplinedFact
-	if a.pass.ImportObjectFact(obj, &f) {
-		for _, p := range f.Params {
-			if p == argIdx {
-				return true
-			}
-		}
-	}
-	return false
+	fi, ok := a.funcs[calleeObj(a.pass.TypesInfo, call)]
+	return ok && fi.disciplined[argIdx]
 }
 
 func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
@@ -298,21 +265,6 @@ func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 		return info.Uses[f.Sel]
 	}
 	return nil
-}
-
-func (a *analysis) exportFacts() {
-	for _, fi := range a.funcs {
-		var params []int
-		for _, idx := range fi.connParams {
-			if fi.disciplined[idx] {
-				params = append(params, idx)
-			}
-		}
-		if len(params) > 0 {
-			sort.Ints(params)
-			a.pass.ExportObjectFact(fi.obj, &DisciplinedFact{Params: params})
-		}
-	}
 }
 
 // check flags blocking uses of unarmed conns in one function. Roots

@@ -16,14 +16,14 @@ func writeNaked(c net.Conn, p []byte) (int, error) {
 	return c.Write(p) // want `Write on net.Conn c with no deadline armed`
 }
 
-func readArmed(c net.Conn, p []byte) (int, error) { // want fact:`readArmed:deadline\(\[0\]\)`
+func readArmed(c net.Conn, p []byte) (int, error) {
 	c.SetReadDeadline(time.Now().Add(time.Second))
 	return c.Read(p)
 }
 
 // writeGuarded arms under a config guard: arming is flow-insensitive,
 // so the conditional still counts.
-func writeGuarded(c net.Conn, p []byte, stall time.Duration) (int, error) { // want fact:`writeGuarded:deadline\(\[0\]\)`
+func writeGuarded(c net.Conn, p []byte, stall time.Duration) (int, error) {
 	if stall > 0 {
 		c.SetWriteDeadline(time.Now().Add(stall))
 	}
@@ -31,7 +31,7 @@ func writeGuarded(c net.Conn, p []byte, stall time.Duration) (int, error) { // w
 }
 
 // pump arms before its read loop: deadline-disciplined for param 0.
-func pump(c net.Conn, p []byte) { // want fact:`pump:deadline\(\[0\]\)`
+func pump(c net.Conn, p []byte) {
 	c.SetDeadline(time.Now().Add(time.Minute))
 	for {
 		if _, err := c.Read(p); err != nil {
@@ -42,7 +42,7 @@ func pump(c net.Conn, p []byte) { // want fact:`pump:deadline\(\[0\]\)`
 
 // viaPump forwards to a disciplined helper, which makes it
 // disciplined in turn (fixpoint).
-func viaPump(c net.Conn, p []byte) { // want fact:`viaPump:deadline\(\[0\]\)`
+func viaPump(c net.Conn, p []byte) {
 	pump(c, p)
 }
 
@@ -55,7 +55,7 @@ func viaSink(c net.Conn) {
 	sink(c) // want `net.Conn c passed to sink with no deadline armed`
 }
 
-func viaSinkArmed(c net.Conn) { // want fact:`viaSinkArmed:deadline\(\[0\]\)`
+func viaSinkArmed(c net.Conn) {
 	c.SetDeadline(time.Now().Add(time.Second))
 	sink(c)
 }
@@ -67,20 +67,20 @@ type counted struct {
 
 // wrap hands the conn to a wrapper type: an ownership transfer, not a
 // blocking use.
-func wrap(c net.Conn) net.Conn { // want fact:`wrap:deadline\(\[0\]\)`
+func wrap(c net.Conn) net.Conn {
 	return &counted{Conn: c}
 }
 
 type holder struct{ c net.Conn }
 
 // adopt stores the conn into a longer-lived holder: also a transfer.
-func (h *holder) adopt(c net.Conn) { // want fact:`adopt:deadline\(\[0\]\)`
+func (h *holder) adopt(c net.Conn) {
 	h.c = c
 }
 
 // gather appends conns into a slice: append is a store, not a
 // blocking use.
-func gather(cs []net.Conn, c net.Conn) []net.Conn { // want fact:`gather:deadline\(\[1\]\)`
+func gather(cs []net.Conn, c net.Conn) []net.Conn {
 	return append(cs, c)
 }
 

@@ -15,9 +15,10 @@
 //     errors.Is — and therefore causeOf's stall/checksum/transport
 //     split — stops seeing the sentinel.
 //
-// The analyzer exports a SentinelFact for every package-scope variable
-// of error type, so dependent packages recognize sentinels declared
-// upstream through the vet facts channel.
+// A sentinel is any package-scope variable of error type, declared in
+// this package or an imported one. The type checker records the type
+// of every imported object, so recognizing a sentinel needs no state
+// carried between packages.
 package errclass
 
 import (
@@ -37,14 +38,6 @@ var Analyzer = &framework.Analyzer{
 	Run:  run,
 }
 
-// SentinelFact marks a package-scope variable of error type: a value
-// other packages will compare against and must do so via errors.Is.
-type SentinelFact struct{}
-
-func (*SentinelFact) AFact() {}
-
-func (*SentinelFact) String() string { return "sentinel" }
-
 // retryRoots scopes the %w rule to the data plane, where causeOf's
 // errors.Is classification decides retry budgets.
 var retryRoots = []string{"internal/proto"}
@@ -53,7 +46,6 @@ func run(pass *framework.Pass) error {
 	if pass.TypesInfo == nil {
 		return nil
 	}
-	exportSentinels(pass)
 	inRetry := pass.Pkg != nil && framework.PathMatch(pass.Pkg.Path(), retryRoots)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -74,35 +66,13 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// exportSentinels publishes a fact for every package-scope error
-// variable so dependents can identify them without re-deriving type
-// information.
-func exportSentinels(pass *framework.Pass) {
-	if pass.Pkg == nil {
-		return
-	}
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		obj, ok := scope.Lookup(name).(*types.Var)
-		if !ok {
-			continue
-		}
-		if implementsError(obj.Type()) {
-			pass.ExportObjectFact(obj, &SentinelFact{})
-		}
-	}
-}
-
 var errIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 func implementsError(t types.Type) bool {
 	return types.Implements(t, errIface) || types.Implements(types.NewPointer(t), errIface)
 }
 
-// sentinelObj resolves e to a package-scope error variable, consulting
-// imported SentinelFacts first and falling back to type information
-// for packages vetted without facts (e.g. a warm cache from an older
-// tool).
+// sentinelObj resolves e to a package-scope error variable.
 func sentinelObj(pass *framework.Pass, e ast.Expr) types.Object {
 	var obj types.Object
 	switch v := ast.Unparen(e).(type) {
@@ -114,9 +84,6 @@ func sentinelObj(pass *framework.Pass, e ast.Expr) types.Object {
 	vr, ok := obj.(*types.Var)
 	if !ok || vr.Pkg() == nil || vr.Parent() != vr.Pkg().Scope() {
 		return nil
-	}
-	if pass.ImportObjectFact(vr, &SentinelFact{}) {
-		return vr
 	}
 	if implementsError(vr.Type()) {
 		return vr

@@ -1,15 +1,17 @@
 // Package errclassfix exercises errclass's identity-comparison and
-// string-matching rules against locally declared sentinels.
+// string-matching rules against sentinels declared locally and in an
+// imported package (io).
 package errclassfix
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 )
 
-var ErrStalled = errors.New("stalled")       // want fact:`ErrStalled:sentinel`
-var ErrChecksum = fmt.Errorf("checksum bad") // want fact:`ErrChecksum:sentinel`
+var ErrStalled = errors.New("stalled")
+var ErrChecksum = fmt.Errorf("checksum bad")
 
 var label = "not an error"
 
@@ -57,6 +59,19 @@ func switchForms(err error) int {
 		return 2
 	}
 	return 3
+}
+
+// importedSentinels: a sentinel from another package is recognized by
+// its type alone, with no state carried over from the io unit.
+func importedSentinels(err error) int {
+	if err == io.EOF { // want `compare errors with errors.Is\(err, EOF\)`
+		return 0
+	}
+	switch err {
+	case io.ErrUnexpectedEOF: // want `compare errors with errors.Is\(err, ErrUnexpectedEOF\)`
+		return 1
+	}
+	return 2
 }
 
 // wrapOutsideRetryPath: the %w rule is scoped to internal/proto, so a

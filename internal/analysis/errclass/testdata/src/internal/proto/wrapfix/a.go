@@ -8,7 +8,7 @@ import (
 	"fmt"
 )
 
-var errBase = errors.New("base") // want fact:`errBase:sentinel`
+var errBase = errors.New("base")
 
 func wrapOK(err error) error {
 	return fmt.Errorf("op failed: %w", err)

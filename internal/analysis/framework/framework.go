@@ -1,11 +1,17 @@
 // Package framework is a minimal, dependency-free re-implementation of
 // the parts of golang.org/x/tools/go/analysis this repository needs:
 // an Analyzer value, a per-package Pass carrying syntax and type
-// information, and position-anchored Diagnostics. The container this
-// repo builds in has no module proxy access, so vendoring x/tools is
-// not an option; the API mirrors go/analysis closely enough that the
-// analyzers under internal/analysis/... would port to the real
-// framework with mechanical changes only.
+// information, and position-anchored Diagnostics. The module depends
+// on the standard library only, so x/tools is not available; the API
+// mirrors go/analysis closely enough that the analyzers under
+// internal/analysis/... would port to the real framework with
+// mechanical changes only.
+//
+// A Pass sees one package and nothing else. go/analysis can also carry
+// per-object facts from a package to its dependents; this framework
+// has no such channel because no rule needs one (DESIGN.md §7.0):
+// every interprocedural property an analyzer derives is a fixpoint
+// over the functions of the package under analysis.
 //
 // # Suppression directives
 //
@@ -56,7 +62,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	store *FactStore
 	diags []Diagnostic
 }
 
@@ -85,17 +90,12 @@ func NewInfo() *types.Info {
 // Run applies every analyzer to the package and returns the surviving
 // diagnostics sorted by position, with //lint:allow-suppressed findings
 // removed. Files must have been parsed with parser.ParseComments or
-// the directives are invisible. store supplies facts imported from
-// dependency units and collects facts the analyzers export; nil means
-// "no cross-package state" and a throwaway store is used.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error) {
-	if store == nil {
-		store = NewFactStore()
-	}
+// the directives are invisible.
+func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	allows := collectAllows(fset, files)
 	var out []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, store: store}
+		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}

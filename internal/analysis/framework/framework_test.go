@@ -71,7 +71,7 @@ func g() {}
 			return nil
 		},
 	}
-	diags, err := Run(fset, []*ast.File{file}, nil, nil, []*Analyzer{demo}, nil)
+	diags, err := Run(fset, []*ast.File{file}, nil, nil, []*Analyzer{demo})
 	if err != nil {
 		t.Fatal(err)
 	}

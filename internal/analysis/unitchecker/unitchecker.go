@@ -8,21 +8,20 @@
 //     key, so the line embeds a digest of the executable itself.
 //   - `tool -flags` must print a JSON description of the tool's flags
 //     (this tool exposes none beyond the protocol ones).
-//   - `tool <unit>.cfg` analyzes one compilation unit described by the
-//     JSON config: parse the unit's files, typecheck them against the
-//     export data cmd/go already built for the imports, load the facts
-//     every dependency unit serialized (PackageVetx), run every
-//     analyzer, write the unit's own fact closure (VetxOutput), and —
-//     unless the unit is a VetxOnly dependency — print findings to
-//     stderr.
+//   - `tool <unit>.cfg` handles one compilation unit described by the
+//     JSON config. The tool first writes the unit's VetxOutput, which
+//     cmd/go requires on every exit path; it is always empty, since no
+//     analyzer keeps state across packages. A VetxOnly unit — a
+//     dependency cmd/go vets only to obtain that output — is done at
+//     that point. Any other unit has its files parsed, typechecked
+//     against the export data cmd/go already built for the imports,
+//     and run through every analyzer, with findings printed to stderr.
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics reported.
 //
-// Two environment variables add machine-readable side channels without
-// disturbing the protocol: ETA_LINT_JSON collects diagnostics as JSONL
-// (consumed by scripts/lint.sh and the CI artifact), ETA_FACTS_LOG
-// records every fact imported/exported per unit (consumed by the facts
-// round-trip integration test). Both are append-only so parallel vet
+// ETA_LINT_JSON adds a machine-readable side channel without
+// disturbing the protocol: it collects diagnostics as JSONL (consumed
+// by scripts/lint.sh and the CI artifact), appending so parallel vet
 // workers can share one file.
 package unitchecker
 
@@ -39,7 +38,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"github.com/didclab/eta/internal/analysis/framework"
@@ -124,24 +122,13 @@ func Run(cfgFile string, analyzers []*framework.Analyzer) ([]framework.Diagnosti
 		return nil, fmt.Errorf("parsing vet config %s: %w", cfgFile, err)
 	}
 
-	// Load the facts every direct dependency exported. Each vetx is a
-	// transitive closure, so direct deps suffice. Files written by a
-	// pre-facts tool ("no facts\n") decode to nothing, harmlessly.
-	store := framework.NewFactStore()
-	for _, depPath := range sortedKeys(cfg.PackageVetx) {
-		if data, err := os.ReadFile(cfg.PackageVetx[depPath]); err == nil {
-			store.AddImported(data)
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			return nil, err
 		}
 	}
-
-	// cmd/go expects VetxOutput to exist on every exit path, including
-	// typecheck-failure ones; until analyzers have run it holds just
-	// the imported closure.
-	writeVetx := func() error {
-		if cfg.VetxOutput == "" {
-			return nil
-		}
-		return os.WriteFile(cfg.VetxOutput, store.Encode(), 0o666)
+	if cfg.VetxOnly {
+		return nil, nil
 	}
 
 	fset := token.NewFileSet()
@@ -150,7 +137,7 @@ func Run(cfgFile string, analyzers []*framework.Analyzer) ([]framework.Diagnosti
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				return nil, writeVetx()
+				return nil, nil
 			}
 			return nil, err
 		}
@@ -184,25 +171,14 @@ func Run(cfgFile string, analyzers []*framework.Analyzer) ([]framework.Diagnosti
 	pkg, _ := tc.Check(cfg.ImportPath, fset, files, info)
 	if len(typeErrs) > 0 {
 		if cfg.SucceedOnTypecheckFailure {
-			return nil, writeVetx()
+			return nil, nil
 		}
 		return nil, fmt.Errorf("typechecking %s: %v", cfg.ImportPath, typeErrs[0])
 	}
 
-	// Analyzers run even for VetxOnly units: dependents need the facts
-	// they export. Only the diagnostics are suppressed for those units
-	// (cmd/go reports findings solely for the packages named on the
-	// command line).
-	diags, err := framework.Run(fset, files, pkg, info, analyzers, store)
+	diags, err := framework.Run(fset, files, pkg, info, analyzers)
 	if err != nil {
 		return nil, err
-	}
-	if err := writeVetx(); err != nil {
-		return nil, err
-	}
-	logFacts(cfg, store)
-	if cfg.VetxOnly {
-		return nil, nil
 	}
 	logDiagnostics(cfg, fset, diags)
 	cwd, _ := os.Getwd()
@@ -217,40 +193,6 @@ func Run(cfgFile string, analyzers []*framework.Analyzer) ([]framework.Diagnosti
 		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", name, posn.Line, posn.Column, d.Message, d.Analyzer)
 	}
 	return diags, nil
-}
-
-// sortedKeys keeps dependency iteration deterministic so the audit log
-// and any tie-breaking merge order are stable run to run.
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// logFacts appends this unit's fact traffic to $ETA_FACTS_LOG: one
-// "import" line per fact available from dependencies and one "export"
-// line per fact the unit's analyzers produced. The integration test
-// greps this to prove facts cross package boundaries under `go vet`.
-// Lines are written with a single O_APPEND write so units vetted in
-// parallel do not interleave mid-line.
-func logFacts(cfg *Config, store *framework.FactStore) {
-	path := os.Getenv("ETA_FACTS_LOG")
-	if path == "" {
-		return
-	}
-	var b strings.Builder
-	for _, r := range store.ImportedRecords() {
-		fmt.Fprintf(&b, "import unit=%s pkg=%s obj=%s analyzer=%s fact=%s\n",
-			cfg.ImportPath, r.Pkg, r.Obj, r.Analyzer, r.Type)
-	}
-	for _, r := range store.ExportedRecords() {
-		fmt.Fprintf(&b, "export unit=%s pkg=%s obj=%s analyzer=%s fact=%s\n",
-			cfg.ImportPath, r.Pkg, r.Obj, r.Analyzer, r.Type)
-	}
-	appendFile(path, b.String())
 }
 
 // lintDiag is the machine-readable diagnostic record lint.sh collects

@@ -63,7 +63,7 @@ func (f ObsFlags) Start() (*Obs, error) {
 		o.Trace = span.NewTracer(o.Metrics, o.Events)
 	}
 	if f.MetricsAddr != "" {
-		srv, err := obs.ServeOpts(f.MetricsAddr, obs.HandlerOpts{
+		srv, err := obs.Serve(f.MetricsAddr, obs.HandlerOpts{
 			Registry: o.Metrics,
 			Log:      o.Events,
 			Spans:    o.Trace,

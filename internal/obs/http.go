@@ -32,7 +32,7 @@ type HandlerOpts struct {
 	Pprof bool
 }
 
-// Handler serves the observability surface:
+// NewHandler serves the observability surface:
 //
 //	GET /metrics               expvar-style JSON snapshot of the registry
 //	GET /events?n=100          JSONL tail of the most recent events
@@ -40,13 +40,8 @@ type HandlerOpts struct {
 //	                           X-Events-Dropped reports the gap
 //	GET /spans                 JSON array of currently live spans
 //
-// Either argument may be nil; the corresponding endpoint then serves an
-// empty snapshot or tail.
-func Handler(reg *Registry, log *Log) http.Handler {
-	return NewHandler(HandlerOpts{Registry: reg, Log: log})
-}
-
-// NewHandler is Handler with the full option set (span source, pprof).
+// Every option may be left unset; the corresponding endpoint then
+// serves an empty snapshot, tail or span array.
 func NewHandler(opts HandlerOpts) http.Handler {
 	reg, log := opts.Registry, opts.Log
 	if reg != nil && log != nil {
@@ -120,12 +115,7 @@ type HTTPServer struct {
 
 // Serve starts the observability endpoint on addr (e.g. ":9632") and
 // returns once it is listening. Close the returned server to stop it.
-func Serve(addr string, reg *Registry, log *Log) (*HTTPServer, error) {
-	return ServeOpts(addr, HandlerOpts{Registry: reg, Log: log})
-}
-
-// ServeOpts is Serve with the full option set.
-func ServeOpts(addr string, opts HandlerOpts) (*HTTPServer, error) {
+func Serve(addr string, opts HandlerOpts) (*HTTPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -303,7 +303,7 @@ func TestHTTPServerCloseFlushesLog(t *testing.T) {
 	rec := &closeRecorder{}
 	log := NewBufferedLog(rec, 8192)
 	log.SetClock(fixedClock())
-	srv, err := Serve("127.0.0.1:0", NewRegistry(), log)
+	srv, err := Serve("127.0.0.1:0", HandlerOpts{Registry: NewRegistry(), Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	log.Emit(EvChannelPlaced, "sid", 1)
 	log.Emit(EvChannelPlaced, "sid", 2)
 
-	srv, err := Serve("127.0.0.1:0", reg, log)
+	srv, err := Serve("127.0.0.1:0", HandlerOpts{Registry: reg, Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}

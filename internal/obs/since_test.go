@@ -90,7 +90,7 @@ func TestHTTPEventsSinceAndSpans(t *testing.T) {
 	log.SetClock(fixedClock())
 	emitN(log, DefaultRingSize+20)
 
-	srv, err := ServeOpts("127.0.0.1:0", HandlerOpts{
+	srv, err := Serve("127.0.0.1:0", HandlerOpts{
 		Registry: reg,
 		Log:      log,
 		Spans:    fakeSpans{},
@@ -154,7 +154,7 @@ func TestHTTPEventsSinceAndSpans(t *testing.T) {
 }
 
 func TestHTTPSpansEmptyAndNoPprof(t *testing.T) {
-	srv, err := ServeOpts("127.0.0.1:0", HandlerOpts{Log: NewLog(nil)})
+	srv, err := Serve("127.0.0.1:0", HandlerOpts{Log: NewLog(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

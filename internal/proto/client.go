@@ -97,12 +97,6 @@ type Client struct {
 	epPool *EndpointPool
 }
 
-// setTraceParent installs (or, with nil, clears) the span that channels
-// opened from now on parent under.
-func (c *Client) setTraceParent(sp *span.Span) {
-	c.traceParent.Store(sp)
-}
-
 // pool returns the client's endpoint pool, lazily building a
 // single-endpoint pool around Addr when none was configured — so the
 // single-server and multi-endpoint paths share one code path. The

@@ -12,6 +12,8 @@ import (
 
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/obs"
+	"github.com/didclab/eta/internal/obs/span"
+	"github.com/didclab/eta/internal/transfer"
 	"github.com/didclab/eta/internal/units"
 )
 
@@ -200,23 +202,24 @@ func (s closeFailSink) Close(name string) error {
 	return s.VerifySink.Close(name)
 }
 
-// TestAbandonedFailedSessionStopsFetching fails a session through its
-// sink and then walks away without Finish, as HTEE and SLAEE do when
-// Advance returns an error. The workers must stop on the failure
-// instead of pulling every remaining range into the failed sink.
-func TestAbandonedFailedSessionStopsFetching(t *testing.T) {
+// errDiskFull is the sink failure failAndAbandon injects.
+var errDiskFull = errors.New("disk full")
+
+const abandonChannels, abandonPipe = 2, 2
+
+// failAndAbandon starts a session of 40 × 128 KB files at 40 Mbps per
+// stream on 2 channels whose sink fails one file's Close with
+// errDiskFull, and advances it until that failure surfaces, as HTEE and
+// SLAEE do before they return without Finish. It returns the session
+// and the gets_issued count when Advance failed.
+func failAndAbandon(t *testing.T, exec *Executor) (sess transfer.Session, atErr int64) {
+	t.Helper()
 	ds := dataset.NewGenerator(74).Uniform(40, 128*units.KB)
 	srv := synthServer(t, ds, func(c *ServerConfig) { c.PerStreamRate = 40 * units.Mbps })
-	errDiskFull := errors.New("disk full")
-	reg := obs.NewRegistry()
-	const channels, pipe = 2, 2
-	exec := &Executor{
-		Client:      &Client{Addr: srv.Addr()},
-		Sink:        closeFailSink{VerifySink: NewVerifySink(), name: ds.Files[4].Name, err: errDiskFull},
-		Environment: testEnv(),
-		Metrics:     reg,
-	}
-	sess, err := exec.Start(context.Background(), planFor(ds, channels, 1, pipe))
+	exec.Client = &Client{Addr: srv.Addr()}
+	exec.Sink = closeFailSink{VerifySink: NewVerifySink(), name: ds.Files[4].Name, err: errDiskFull}
+	exec.Environment = testEnv()
+	sess, err := exec.Start(context.Background(), planFor(ds, abandonChannels, 1, abandonPipe))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +235,110 @@ func TestAbandonedFailedSessionStopsFetching(t *testing.T) {
 	if !errors.Is(err, errDiskFull) {
 		t.Fatalf("Advance error = %v, want %v", err, errDiskFull)
 	}
-	atErr := reg.Counter("gets_issued").Value()
+	return sess, exec.Metrics.Counter("gets_issued").Value()
+}
+
+// TestAbandonedFailedSessionStopsFetching fails a session through its
+// sink and then walks away without Finish. The workers must stop on the
+// failure instead of pulling every remaining range into the failed sink.
+func TestAbandonedFailedSessionStopsFetching(t *testing.T) {
+	reg := obs.NewRegistry()
+	sess, atErr := failAndAbandon(t, &Executor{Metrics: reg})
 	waitNoWorkers(t)
 	// A worker may still have been filling its window when the failure
 	// landed; nothing past that may be issued.
-	if got := reg.Counter("gets_issued").Value(); got > atErr+channels*pipe {
-		t.Errorf("gets_issued went %d → %d of %d files after the session failed", atErr, got, len(ds.Files))
+	if got := reg.Counter("gets_issued").Value(); got > atErr+abandonChannels*abandonPipe {
+		t.Errorf("gets_issued went %d → %d of 40 files after the session failed", atErr, got)
 	}
 	if _, err := sess.Finish(); !errors.Is(err, errDiskFull) {
 		t.Errorf("Finish error = %v, want %v", err, errDiskFull)
+	}
+}
+
+// TestAbandonedFailedSessionEndsSpans traces the abandoned session: once
+// its last worker has exited, the transfer root and chunk spans are
+// ended with the session's error, and a later Finish ends nothing twice.
+func TestAbandonedFailedSessionEndsSpans(t *testing.T) {
+	reg := obs.NewRegistry()
+	var stream bytes.Buffer
+	events := obs.NewLog(&stream)
+	tracer := span.NewTracer(reg, events)
+	sess, _ := failAndAbandon(t, &Executor{Metrics: reg, Events: events, Trace: tracer})
+	waitNoWorkers(t)
+	if n := tracer.LiveCount(); n != 0 {
+		t.Errorf("%d spans still live after every worker of the failed session exited", n)
+	}
+	if _, err := sess.Finish(); !errors.Is(err, errDiskFull) {
+		t.Errorf("Finish error = %v, want %v", err, errDiskFull)
+	}
+	forest, err := span.ReadForest(bytes.NewReader(stream.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	span.Attribute(forest)
+	if err := forest.Check(0.01); err != nil {
+		t.Error(err)
+	}
+	var roots int
+	for _, rec := range forest.Roots {
+		if rec.Name != span.NameTransfer {
+			continue
+		}
+		roots++
+		if got := rec.Attrs["error"]; got != "disk full" {
+			t.Errorf("transfer root error = %v, want %q", got, "disk full")
+		}
+	}
+	if roots != 1 {
+		t.Errorf("%d transfer roots, want 1", roots)
+	}
+}
+
+// TestDrainedWorkerLeavesActiveChannels runs two chunks without
+// ReallocOnComplete: the small chunk drains first and its worker exits,
+// since it has nowhere to move. From then on Advance reports one active
+// channel, the worker still running.
+func TestDrainedWorkerLeavesActiveChannels(t *testing.T) {
+	const size = 128 * units.KB
+	ds := dataset.NewGenerator(75).Uniform(12, size)
+	srv := synthServer(t, ds, func(c *ServerConfig) { c.PerStreamRate = 8 * units.Mbps })
+	exec := &Executor{
+		Client:      &Client{Addr: srv.Addr()},
+		Sink:        NewVerifySink(),
+		Environment: testEnv(),
+	}
+	chunk := func(files []dataset.File) transfer.ChunkPlan {
+		return transfer.ChunkPlan{
+			Chunk:    dataset.Chunk{Class: dataset.Large, Files: files, Parallelism: 1, Pipelining: 1},
+			Channels: 1,
+			Weight:   1,
+		}
+	}
+	plan := transfer.Plan{Chunks: []transfer.ChunkPlan{chunk(ds.Files[:1]), chunk(ds.Files[1:])}}
+	sess, err := exec.Start(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both chunks move at the same per-stream rate, so once two files
+	// have landed the one-file chunk has drained; its worker then exits.
+	deadline := time.Now().Add(5 * time.Second)
+	for sess.Remaining() > ds.TotalSize()-2*size || runningWorkers() > 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the one-file chunk never drained: %v left, %d workers running", sess.Remaining(), runningWorkers())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	sample, err := sess.Advance(20 * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Done() {
+		t.Fatal("the eleven-file chunk finished too early to observe")
+	}
+	if sample.ActiveChannels != 1 {
+		t.Errorf("ActiveChannels = %d after the one-file chunk drained, want 1 (running workers: %d)", sample.ActiveChannels, runningWorkers())
+	}
+	if r, err := sess.Finish(); err != nil || r.Bytes != ds.TotalSize() {
+		t.Errorf("Finish = %v bytes, %v; want %v", r.Bytes, err, ds.TotalSize())
 	}
 }

@@ -172,10 +172,8 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 	for _, rc := range s.chunks {
 		rc.span = s.root.Child(span.NameChunk, "chunk", rc.idx, "files", len(rc.plan.Chunk.Files))
 	}
-	e.Client.setTraceParent(s.root)
-	if e.Client.Journal != nil {
-		e.Client.Journal.setTraceParent(e.Trace, s.root)
-	}
+	e.Client.traceParent.Store(s.root)
+	e.Client.Journal.setTraceParent(e.Trace, s.root)
 	// A fully-resumed plan has nothing left to move.
 	s.signalDoneIfComplete()
 	// A Sequential plan's first chunk may already be complete at the
@@ -292,6 +290,16 @@ type realWorker struct {
 	stop  chan struct{} // closed to ask the worker to drain and exit
 }
 
+// stopping reports whether the worker has been asked to exit.
+func (w *realWorker) stopping() bool {
+	select {
+	case <-w.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 type realSession struct {
 	exec   *Executor
 	ctx    context.Context
@@ -299,8 +307,10 @@ type realSession struct {
 	energy EnergySource
 	start  time.Time
 
-	mu        sync.Mutex
-	chunks    []*realChunk
+	mu     sync.Mutex
+	chunks []*realChunk
+	// workers holds every running worker, from reconcile's start until
+	// the worker exits (a stopped one drains its window first).
 	workers   map[*realWorker]struct{}
 	wg        sync.WaitGroup
 	total     units.Bytes
@@ -360,16 +370,16 @@ func (s *realSession) retryConsumed(file string, attempt int, err error) {
 
 // endSpans finishes the session's chunk spans and root span exactly
 // once, stamping the final joules estimate on the root's span_end.
-// attrs ride the root's span_end when the session succeeded.
+// attrs ride the root's span_end when the session succeeded. Finish
+// calls it, and so does the last worker out of a failed session, which
+// its caller may abandon without Finish.
 func (s *realSession) endSpans(cause error, attrs ...any) {
 	s.spansOnce.Do(func() {
 		// Detach the client and journal first: channels dialed or flushes
 		// committed after this session must not parent under a root that
-		// is about to end.
-		s.exec.Client.setTraceParent(nil)
-		if s.exec.Client.Journal != nil {
-			s.exec.Client.Journal.setTraceParent(s.exec.Trace, nil)
-		}
+		// is about to end. A later session's root stays attached.
+		s.exec.Client.traceParent.CompareAndSwap(s.root, nil)
+		s.exec.Client.Journal.detachTraceParent(s.root)
 		for _, rc := range s.chunks {
 			rc.span.End()
 		}
@@ -383,25 +393,32 @@ func (s *realSession) endSpans(cause error, attrs ...any) {
 
 // reconcile adjusts live workers per chunk to the target allocation. It
 // only starts and stops workers: each new worker dials its own channel,
-// so the session lock is never held across network I/O.
+// so the session lock is never held across network I/O. A stopped
+// worker leaves s.workers itself when it exits. Once doneCh has closed
+// no worker starts, so no wg.Add races Finish's wg.Wait.
 func (s *realSession) reconcile(targets []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	select {
+	case <-s.doneCh:
+		return
+	default:
+	}
 	if s.workers == nil {
 		s.workers = make(map[*realWorker]struct{})
 	}
 	current := make(map[*realChunk][]*realWorker)
 	for w := range s.workers {
-		current[w.chunk] = append(current[w.chunk], w)
+		if !w.stopping() {
+			current[w.chunk] = append(current[w.chunk], w)
+		}
 	}
 	for i, rc := range s.chunks {
 		want := targets[i]
 		have := current[rc]
 		for len(have) > want {
-			w := have[len(have)-1]
+			close(have[len(have)-1].stop)
 			have = have[:len(have)-1]
-			close(w.stop)
-			delete(s.workers, w)
 		}
 		for len(have) < want {
 			w := &realWorker{chunk: rc, stop: make(chan struct{})}
@@ -425,12 +442,21 @@ func (s *realSession) runWorker(w *realWorker) {
 	var window []inflight
 	var ch *Channel
 
-	// The channel closes (ending its span) before wg.Done, so Finish
-	// never returns ahead of a worker's teardown.
+	// The channel closes (ending its span) and the worker leaves
+	// s.workers before wg.Done, so Finish never returns ahead of a
+	// worker's teardown. The last worker out of a failed session ends
+	// its spans.
 	defer s.wg.Done()
 	defer func() {
 		if ch != nil {
 			ch.Close()
+		}
+		s.mu.Lock()
+		delete(s.workers, w)
+		last, err := len(s.workers) == 0, s.firstErr
+		s.mu.Unlock()
+		if last && err != nil {
+			s.endSpans(err)
 		}
 	}()
 
@@ -824,9 +850,7 @@ func (s *realSession) Finish() (transfer.Report, error) {
 func (s *realSession) stopAll() {
 	s.mu.Lock()
 	for w := range s.workers {
-		select {
-		case <-w.stop:
-		default:
+		if !w.stopping() {
 			close(w.stop)
 		}
 	}

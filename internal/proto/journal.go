@@ -121,6 +121,19 @@ func (j *Journal) setTraceParent(t *span.Tracer, parent *span.Span) {
 	j.mu.Unlock()
 }
 
+// detachTraceParent stops parenting flush spans under parent, unless a
+// later transfer has attached its own root since.
+func (j *Journal) detachTraceParent(parent *span.Span) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	if j.parent == parent {
+		j.parent = nil
+	}
+	j.mu.Unlock()
+}
+
 // OpenJournal opens (creating if needed) the receipt journal at path
 // for appending and starts its group-commit flusher. A torn tail left
 // by a crash is repaired first — truncated back to the last clean
