@@ -213,7 +213,8 @@ func BenchmarkProtoLoopback(b *testing.B) {
 }
 
 // BenchmarkProtoLoopbackSteady reuses one channel across iterations —
-// the steady state the block-buffer pool targets. Run with -benchmem:
+// the steady state in which every stream already owns its block
+// buffers. Run with -benchmem:
 // allocs/op here is the per-64MB-transfer allocation cost with dialing
 // excluded, so the zero-alloc data path is directly visible.
 func BenchmarkProtoLoopbackSteady(b *testing.B) {

@@ -54,10 +54,10 @@ type Client struct {
 	// budget.
 	VerifyChecksums bool
 	// BlockSize is the striping unit the server is expected to use; it
-	// sizes each stream's read buffer and pooled payload buffer so a
-	// whole block is absorbed without splitting reads. DefaultBlockSize
-	// when zero. A mismatch is only a performance miss: a larger server
-	// block is handled by growing the payload buffer on arrival.
+	// sizes each stream's read buffer and payload buffer so a whole
+	// block is absorbed without splitting reads. DefaultBlockSize when
+	// zero. A mismatch is only a performance miss: a larger server
+	// block replaces the payload buffer with one that fits.
 	BlockSize int
 	// StallTimeout arms the per-channel stall watchdog: when requests
 	// are outstanding and no bytes arrive on any of the channel's
@@ -377,6 +377,12 @@ func (p *pendingGet) finishCtrl(crc uint32, err error) {
 	})
 }
 
+// holds reports whether block h lies inside the request's range.
+func (p *pendingGet) holds(h blockHeader) bool {
+	end := uint64(p.offset + p.length)
+	return h.Offset >= uint64(p.offset) && h.Offset <= end && uint64(h.Length) <= end-h.Offset
+}
+
 func (p *pendingGet) addBytes(n int64) {
 	if p.received.Add(n) >= p.length {
 		p.dataOnce.Do(func() { close(p.dataDone) })
@@ -569,16 +575,10 @@ func (ch *Channel) streamLoop(conn net.Conn) {
 	// fragmenting across many smaller ones.
 	//lint:allow deadlineio conn is a progressConn counted by the stall watchdog, which closes it when progress stops
 	br := bufio.NewReaderSize(conn, ch.client.blockSize())
-	// One pooled payload buffer and one header scratch per stream for
-	// the connection's lifetime: the steady-state receive path never
-	// allocates per block, and short-lived channels (dial, fetch,
-	// close) recycle each other's buffers through the pool.
-	bufp := getBlockBuf(ch.client.blockSize())
-	// Released via closure, not `defer putBlockBuf(bufp)`: the defer
-	// would capture the original pointer, and the grow path below swaps
-	// bufp — the original would be put twice (handing one buffer to two
-	// streams) while the replacement leaked.
-	defer func() { putBlockBuf(bufp) }()
+	// One payload buffer and one header scratch per stream, owned by
+	// this loop for the connection's lifetime: the steady-state receive
+	// path never allocates per block.
+	buf := make([]byte, ch.client.blockSize())
 	scratch := make([]byte, blockHeaderSize)
 	for {
 		h, err := readBlockHeaderBuf(br, scratch)
@@ -586,13 +586,15 @@ func (ch *Channel) streamLoop(conn net.Conn) {
 			ch.failAll(err)
 			return
 		}
-		if int(h.Length) > cap(*bufp) {
-			// The server runs a larger block size than expected: trade
-			// the pooled buffer for one from the matching bucket.
-			putBlockBuf(bufp)
-			bufp = getBlockBuf(int(h.Length))
+		if h.Length > maxBlockSize {
+			ch.failAll(fmt.Errorf("proto: block of %d bytes above the %d-byte limit", h.Length, maxBlockSize))
+			return
 		}
-		payload := (*bufp)[:h.Length]
+		if int(h.Length) > len(buf) {
+			// The server runs a larger block size than expected.
+			buf = make([]byte, h.Length)
+		}
+		payload := buf[:h.Length]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			ch.failAll(err)
 			return
@@ -601,14 +603,21 @@ func (ch *Channel) streamLoop(conn net.Conn) {
 		if p == nil {
 			continue // request was abandoned
 		}
-		//lint:allow bufown Sink.WriteAt's contract forbids retaining p beyond the call (store.go)
+		if !p.holds(h) {
+			// A block outside its GET would land on bytes the GET was not
+			// asked to move, while the range it was asked for stays
+			// unwritten.
+			ch.failAll(fmt.Errorf("proto: block %d+%d of request %d outside its range %d+%d",
+				h.Offset, h.Length, h.ReqID, p.offset, p.length))
+			return
+		}
 		if _, err := p.sink.WriteAt(p.name, payload, int64(h.Offset)); err != nil {
 			p.abort(sinkError{err})
 			continue
 		}
 		if ch.client.VerifyChecksums || ch.client.Journal != nil {
 			// One Checksum call serves both consumers; only the uint32
-			// crosses into the journal, never the pooled payload buffer.
+			// crosses into the journal, never the payload buffer.
 			c := crc32.Checksum(payload, crcTable)
 			if ch.client.VerifyChecksums {
 				p.recordBlock(int64(h.Offset), int64(h.Length), c)

@@ -3,6 +3,8 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -126,6 +128,81 @@ func FuzzParseEndpoints(f *testing.F) {
 				t.Fatalf("%q: endpoint %d picked %d times in a window of %d picks, weight %d",
 					list, i, picks[i], sum, ep.Weight)
 			}
+		}
+	})
+}
+
+// rangeSink fails the test on any write outside [lo, hi) or through a
+// buffer larger than any block may be.
+type rangeSink struct {
+	t      *testing.T
+	lo, hi int64
+}
+
+func (s rangeSink) WriteAt(name string, p []byte, off int64) (int, error) {
+	if off < s.lo || off+int64(len(p)) > s.hi {
+		s.t.Errorf("write of %d bytes at %d outside the GET's range [%d, %d)", len(p), off, s.lo, s.hi)
+	}
+	if cap(p) > maxBlockSize {
+		s.t.Errorf("payload buffer of %d bytes, above the %d-byte limit", cap(p), maxBlockSize)
+	}
+	return len(p), nil
+}
+
+func (rangeSink) Close(string) error { return nil }
+
+// FuzzStreamLoop feeds arbitrary bytes to one data stream of a channel
+// with one pending GET, for [100, 150) of a file: the stream loop never
+// panics, every sink write lies inside the GET's range, and no payload
+// buffer grows past maxBlockSize.
+func FuzzStreamLoop(f *testing.F) {
+	block := func(id uint32, off uint64, n uint32) []byte {
+		var b bytes.Buffer
+		_ = writeBlockHeader(&b, blockHeader{ReqID: id, Offset: off, Length: n})
+		b.Write(bytes.Repeat([]byte{0xab}, int(min(n, 64))))
+		return b.Bytes()
+	}
+	f.Add(block(1, 100, 50))
+	f.Add(append(block(1, 100, 10), block(1, 110, 40)...))
+	f.Add(block(1, 0, 8))
+	f.Add(block(1, 140, 20))
+	f.Add(block(1, 1<<63, 8))
+	f.Add(block(2, 100, 8))
+	f.Add(block(1, 100, 0))
+	f.Add(block(1, 100, maxBlockSize+1))
+	f.Add(block(2, 100, maxBlockSize))
+	f.Add([]byte("not a block header"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const off, length = 100, 50
+		c := &Client{VerifyChecksums: true}
+		ch := &Channel{client: c, inst: c.instruments(), pending: make(map[uint32]*pendingGet)}
+		ch.pending[1] = &pendingGet{
+			name:     "f",
+			offset:   off,
+			length:   length,
+			sink:     rangeSink{t: t, lo: off, hi: off + length},
+			ctrlDone: make(chan struct{}),
+			dataDone: make(chan struct{}),
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, w := net.Pipe()
+		go func() {
+			_, _ = w.Write(data)
+			w.Close()
+		}()
+		ch.wg.Add(1)
+		ch.streamLoop(r) // returns once the stream ends or breaks the protocol
+		r.Close()
+		runtime.ReadMemStats(&after)
+		// The read buffer and the first payload buffer are one default
+		// block each. A payload buffer is only outgrown once a block that
+		// filled it was read whole from data, so every buffer but the
+		// last sums to at most len(data), and the last holds at most
+		// maxBlockSize. The last MiB is slack for the runtime.
+		bound := uint64(len(data) + maxBlockSize + 2*DefaultBlockSize + 1<<20)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > bound {
+			t.Errorf("stream loop allocated %d bytes, bound %d", grown, bound)
 		}
 	})
 }

@@ -213,8 +213,7 @@ func TestSendfileTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := sparseFile(t, 8<<20)
-	w := newStreamWriter(c1, 1, nil, nil, 100*time.Millisecond, &serverInstruments{})
-	w.file = newFileSender(c1)
+	w := newStreamWriter(c1, 1, nil, 100*time.Millisecond, &serverInstruments{})
 	if w.file == nil {
 		t.Fatal("no sendfile for a TCP conn")
 	}
@@ -237,32 +236,79 @@ func TestFileSenderNeedsTCP(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	if newFileSender(c1) != nil {
+	if newStreamWriter(c1, 1, nil, 0, &serverInstruments{}).file != nil {
 		t.Error("a net.Pipe got a sendfile sender")
 	}
 }
 
-// A batch mixing a buffered block and a file-backed one allocates
-// nothing per block.
+// A stream writer allocates nothing per block once its first GET has
+// given it its buffers: not on a cold GET, which reads and checksums
+// every block and sends it in multi-block writev batches, and not on a
+// warm one whose batches alternate buffered blocks with blocks sent by
+// sendfile.
 func TestSendfileWarmPathZeroAlloc(t *testing.T) {
 	w, r := tcpPair(t)
 	go io.Copy(io.Discard, r)
-	const n = 64 * 1024
-	f := sparseFile(t, n)
-	sw := newStreamWriter(w, 2, NewLimiter(0), nil, time.Second, &serverInstruments{})
-	sw.file = newFileSender(w)
-	payload := make([]byte, n)
-	batch := []queuedBlock{
-		{header: blockHeader{ReqID: 1, Length: n}, buf: &payload},
-		{header: blockHeader{ReqID: 1, Length: n}, file: f},
+	const blockSize = 64 * 1024
+	const blocks = 2*maxBatchBlocks + 3
+	f := sparseFile(t, blocks*blockSize)
+	reg := obs.NewRegistry()
+	inst := serverInstruments{
+		writevBatches:  reg.Counter("server_writev_batches"),
+		sendfileBlocks: reg.Counter("server_sendfile_blocks"),
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := sw.write(batch); err != nil {
-			t.Fatal(err)
+	sw := newStreamWriter(w, maxBatchBlocks, nil, time.Second, &inst)
+	sw.stream = NewLimiter(0)
+	job := func(sidecar *crcSidecar) *getJob {
+		return &getJob{
+			req:       getRequest{ID: 1, Name: "sparse", Length: blocks * blockSize},
+			file:      f,
+			sidecar:   sidecar,
+			blockSize: blockSize,
+			blocks:    blocks,
 		}
+	}
+	serve := func(g *getJob) {
+		if n, err := sw.serve(g, 0, 1); err != nil || n != blocks*(blockHeaderSize+blockSize) {
+			t.Fatalf("serve wrote %d bytes, err %v", n, err)
+		}
+	}
+
+	// The first cold GET allocates the writer's buffers; later ones
+	// must not.
+	cold := job(nil)
+	serve(cold)
+	if allocs := testing.AllocsPerRun(20, func() { serve(cold) }); allocs != 0 {
+		t.Errorf("a cold GET of %d blocks allocates %.1f times, want 0", blocks, allocs)
+	}
+	// 22 cold GETs (AllocsPerRun adds a warm-up run), 3 batches each.
+	if got := inst.writevBatches.Value(); got != 22*3 {
+		t.Errorf("cold GETs made %d writev batches, want %d", got, 22*3)
+	}
+
+	// The sidecar holds every odd block's CRC. Each serve caches the
+	// even ones it reads, so they are forgotten again before the next.
+	sc := newCRCCache(0).open("sparse", blocks*blockSize, 0, blockSize)
+	for b := int64(1); b < blocks; b += 2 {
+		sc.store(b*blockSize, blockSize, 0)
+	}
+	forgetEven := func() {
+		sc.cache.mu.Lock()
+		for b := 0; b < blocks; b += 2 {
+			sc.entry.have[b] = false
+		}
+		sc.cache.mu.Unlock()
+	}
+	warm := job(sc)
+	allocs := testing.AllocsPerRun(20, func() {
+		forgetEven()
+		serve(warm)
 	})
 	if allocs != 0 {
-		t.Errorf("a warm batch allocates %.1f times, want 0", allocs)
+		t.Errorf("a warm GET of %d blocks allocates %.1f times, want 0", blocks, allocs)
+	}
+	if got, want := inst.sendfileBlocks.Value(), int64(21*(blocks/2)); got != want {
+		t.Errorf("warm GETs sent %d blocks by sendfile, want %d", got, want)
 	}
 }
 

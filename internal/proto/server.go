@@ -43,7 +43,8 @@ type ServerConfig struct {
 	// channel: requests and completions are each delayed by half of
 	// it. Pipelining exists to hide exactly this delay.
 	ControlRTT time.Duration
-	// BlockSize is the striping unit; DefaultBlockSize when zero.
+	// BlockSize is the striping unit; DefaultBlockSize when zero, and
+	// at most 8 MiB.
 	BlockSize int
 	// StallTimeout bounds every control and data write: a client that
 	// stops draining its sockets (black-holed, frozen, or gone without
@@ -68,10 +69,21 @@ func (c ServerConfig) blockSize() int {
 // connections to arrive.
 const dataDialTimeout = 10 * time.Second
 
-// maxBatchBlocks caps how many queued blocks one writev gathers on an
-// unshaped stream with backlog, amortizing syscalls without holding
-// more than a few pooled buffers per stream.
+// maxBatchBlocks caps how many blocks one writev gathers on an
+// unshaped stream, amortizing syscalls; it is also how many payload
+// buffers a stream writer holds.
 const maxBatchBlocks = 8
+
+// batchBlocks is how many blocks a stream writer gathers per writev.
+// Shaped streams stay at one block per write so the limiters keep
+// pacing at block granularity (the header+payload coalescing into a
+// single vectored write applies either way).
+func (c ServerConfig) batchBlocks() int {
+	if c.PerStreamRate == 0 && c.LinkRate == 0 {
+		return maxBatchBlocks
+	}
+	return 1
+}
 
 func (c ServerConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -118,6 +130,9 @@ type serverInstruments struct {
 func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("proto: server needs a store")
+	}
+	if cfg.BlockSize > maxBlockSize {
+		return nil, fmt.Errorf("proto: block size %d above the %d-byte limit", cfg.BlockSize, maxBlockSize)
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -308,6 +323,9 @@ type serverSession struct {
 
 	reqs   chan getRequest
 	closed atomic.Bool
+
+	// writers holds one writer per data stream; serveLoop's alone.
+	writers []*streamWriter
 
 	// span roots the session's trace (server_session); nil when the
 	// server is untraced.
@@ -526,8 +544,8 @@ func (sess *serverSession) streams() []net.Conn {
 
 // serveLoop handles GETs in arrival order. Each request is striped in
 // block-sized units round-robin across the session's data streams,
-// with a per-stream writer goroutine so slow streams do not stall fast
-// ones more than the striping requires.
+// each stream's writer running in its own goroutine so slow streams do
+// not stall fast ones more than the striping requires.
 func (sess *serverSession) serveLoop(doneQueue *delayQueue[string]) {
 	for req := range sess.reqs {
 		start := time.Now()
@@ -546,62 +564,28 @@ func (sess *serverSession) serveLoop(doneQueue *delayQueue[string]) {
 	}
 }
 
-// queuedBlock is one block in flight from the serve loop to a stream
-// writer: the framing header plus its payload, which is either a pooled
-// buffer the receiving writer owns (it returns it to the pool once the
-// bytes are written or dropped) or, when buf is nil, the header's range
-// of file, sent by sendfile.
-type queuedBlock struct {
-	header blockHeader
-	buf    *[]byte
-	file   *os.File
-}
-
-// collectBatch fills batch[:0] from q: it blocks for the first block,
-// then opportunistically drains blocks the serve loop already queued —
-// without blocking — up to max total. The bool reports whether q is
-// still open; a close observed mid-drain still returns the gathered
-// batch so the caller flushes it before exiting.
-func collectBatch(q <-chan queuedBlock, batch []queuedBlock, max int) ([]queuedBlock, bool) {
-	batch = batch[:0]
-	b, ok := <-q
-	if !ok {
-		return batch, false
-	}
-	batch = append(batch, b)
-	for len(batch) < max {
-		select {
-		case b, ok := <-q:
-			if !ok {
-				return batch, false
-			}
-			batch = append(batch, b)
-		default:
-			return batch, true
-		}
-	}
-	return batch, true
-}
-
 func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *delayQueue[string]) error {
-	streams := sess.streams()
-	if len(streams) == 0 {
+	writers := sess.streamWriters()
+	if len(writers) == 0 {
 		return fmt.Errorf("no data streams attached")
 	}
-	blockSize := sess.srv.cfg.blockSize()
+	cfg := &sess.srv.cfg
+	blockSize := int64(cfg.blockSize())
+	g := &getJob{req: req, store: cfg.Store, blockSize: blockSize, blocks: req.Length / blockSize}
+	if req.Length%blockSize != 0 {
+		g.blocks++
+	}
 
 	// The whole-range CRC is built by combining per-block CRCs with
 	// CRC32CCombine. When the store can vouch for the file's identity
 	// and the range is block-aligned, block CRCs come from (and feed)
 	// the sidecar cache. A block whose CRC is cached has no reason to
-	// pass through user space: on a stream that can take it, it is
-	// queued as a file range and sent by sendfile. Every other block is
-	// read into a pooled buffer.
-	var sidecar *crcSidecar
-	if req.Offset%int64(blockSize) == 0 {
-		if v, ok := sess.srv.cfg.Store.(Versioner); ok {
+	// pass through user space: on a stream that can take it, it goes
+	// by sendfile. Every other block is read into a writer's buffer.
+	if req.Offset%blockSize == 0 {
+		if v, ok := cfg.Store.(Versioner); ok {
 			if size, mtime, ok := v.Version(req.Name); ok {
-				sidecar = sess.srv.crcSidecars.open(req.Name, size, mtime, blockSize)
+				g.sidecar = sess.srv.crcSidecars.open(req.Name, size, mtime, int(blockSize))
 			}
 		}
 	}
@@ -612,118 +596,42 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	// matches, instead of filing the old file's CRCs under the new one.
 	// The deferred close runs after wg.Wait below, when no writer can
 	// still be sending from the file.
-	var file *os.File
-	if o, ok := sess.srv.cfg.Store.(Opener); ok && req.Length > 0 {
+	if o, ok := cfg.Store.(Opener); ok && req.Length > 0 {
 		f, err := o.Open(req.Name)
 		if err != nil {
 			return fmt.Errorf("opening %s: %w", req.Name, err)
 		}
 		defer f.Close()
-		file = f
+		g.file = f
 	}
 
-	// Unshaped streams gather queue backlog into multi-block writev
-	// batches; shaped streams stay at one block per write so the
-	// limiters keep pacing at block granularity (the header+payload
-	// coalescing into a single vectored write applies either way).
-	maxBatch := 1
-	if sess.srv.cfg.PerStreamRate == 0 && sess.srv.cfg.LinkRate == 0 {
-		maxBatch = maxBatchBlocks
-	}
-	queueDepth := 4
-	if maxBatch > queueDepth {
-		queueDepth = maxBatch
-	}
-
-	// Per-stream block queues and writer goroutines. Buffered payloads
-	// ride in pooled buffers: the reader below fills one per block, and
-	// the writer that receives it owns it, so the steady-state path
-	// allocates nothing per block.
-	queues := make([]chan queuedBlock, len(streams))
-	writers := make([]*streamWriter, len(streams))
-	errs := make([]error, len(streams))
+	// Block b goes to stream b mod len(writers). Each writer reads,
+	// checksums and sends its own blocks, so no buffer changes hands.
+	errs := make([]error, len(writers))
 	var wg sync.WaitGroup
-	for i := range streams {
-		queues[i] = make(chan queuedBlock, queueDepth)
-		w := newStreamWriter(streams[i], maxBatch, NewLimiter(sess.srv.cfg.PerStreamRate), sess.srv.link,
-			sess.srv.cfg.StallTimeout, &sess.srv.inst)
-		if file != nil {
-			w.file = newFileSender(streams[i])
-		}
-		writers[i] = w
+	for i, w := range writers {
+		w.stream = NewLimiter(cfg.PerStreamRate)
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			ssp := gsp.Child(span.NameServerStream, "stream", i)
 			defer ssp.End()
-			batch := make([]queuedBlock, 0, maxBatch)
-			for {
-				var open bool
-				batch, open = collectBatch(queues[i], batch, maxBatch)
-				if len(batch) > 0 && errs[i] == nil {
-					n, err := w.write(batch)
-					errs[i] = err
-					ssp.AddBytes(n)
-				}
-				for _, b := range batch {
-					putBlockBuf(b.buf)
-				}
-				if !open {
-					return
-				}
-			}
-		}(i)
-	}
-
-	var crcState uint32
-	var readErr error
-	offset := req.Offset
-	remaining := req.Length
-	for blockIdx := 0; remaining > 0; blockIdx++ {
-		n := int64(blockSize)
-		if n > remaining {
-			n = remaining
-		}
-		q := blockIdx % len(queues)
-		block := queuedBlock{header: blockHeader{ReqID: req.ID, Offset: uint64(offset), Length: uint32(n)}}
-		bcrc, cached := sidecar.lookup(offset, n)
-		if cached && writers[q].file != nil {
-			block.file = file
-		} else {
-			bufp := getBlockBuf(int(n))
-			if err := sess.readBlock(req.Name, file, *bufp, offset); err != nil {
-				putBlockBuf(bufp)
-				readErr = err
-				break
-			}
-			block.buf = bufp
-			if !cached {
-				bcrc = crc32.Checksum(*bufp, crcTable)
-				if sidecar != nil {
-					sidecar.store(offset, n, bcrc)
-					sess.srv.inst.crcCacheMisses.Inc()
-				}
-			}
-		}
-		if cached {
-			sess.srv.inst.crcCacheHits.Inc()
-		}
-		crcState = CRC32CCombine(crcState, bcrc, n)
-		queues[q] <- block
-		offset += n
-		remaining -= n
-	}
-	for _, q := range queues {
-		close(q)
+			n, err := w.serve(g, int64(i), int64(len(writers)))
+			ssp.AddBytes(n)
+			errs[i] = err
+		}()
 	}
 	wg.Wait()
-	if readErr != nil {
-		return readErr
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
+	}
+	var crcState uint32
+	for b := int64(0); b < g.blocks; b++ {
+		w := writers[b%int64(len(writers))]
+		_, n := g.block(b)
+		crcState = CRC32CCombine(crcState, w.crcs[b/int64(len(writers))], n)
 	}
 	sess.srv.inst.requestsServed.Inc()
 	sess.srv.inst.bytesServed.Add(req.Length)
@@ -731,16 +639,63 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	return nil
 }
 
+// streamWriters returns one writer per attached data stream. A writer
+// lives as long as its stream: later GETs reuse it, buffers included,
+// and only a stream re-attached under the same index gets a new one.
+// Only serveLoop calls it, so sess.writers needs no lock.
+func (sess *serverSession) streamWriters() []*streamWriter {
+	streams := sess.streams()
+	cfg := &sess.srv.cfg
+	for i, c := range streams {
+		if i < len(sess.writers) && sess.writers[i].conn == c {
+			continue
+		}
+		w := newStreamWriter(c, cfg.batchBlocks(), sess.srv.link, cfg.StallTimeout, &sess.srv.inst)
+		if i < len(sess.writers) {
+			sess.writers[i] = w
+		} else {
+			sess.writers = append(sess.writers, w)
+		}
+	}
+	sess.writers = sess.writers[:len(streams)]
+	return sess.writers
+}
+
+// getJob is one GET as its stream writers share it. Writers only read
+// it, apart from the failed flag.
+type getJob struct {
+	req       getRequest
+	store     Store
+	file      *os.File // the GET's open handle; nil: read through store.ReadAt
+	sidecar   *crcSidecar
+	blockSize int64
+	blocks    int64
+	// failed stops the other writers once one has failed: the GET ends
+	// in ERR, so their remaining blocks would be wasted.
+	failed atomic.Bool
+}
+
+// block returns the file offset and length of block b.
+func (g *getJob) block(b int64) (off, n int64) {
+	off = b * g.blockSize
+	return g.req.Offset + off, min(g.blockSize, g.req.Length-off)
+}
+
+// fail marks g failed, so its other writers stop, and returns err.
+func (g *getJob) fail(err error) error {
+	g.failed.Store(true)
+	return err
+}
+
 // readBlock fills p with the file's bytes at off: from the GET's own
 // handle when the store gave one, through Store.ReadAt otherwise.
-func (sess *serverSession) readBlock(name string, f *os.File, p []byte, off int64) error {
+func readBlock(store Store, name string, f *os.File, p []byte, off int64) error {
 	var read int
 	var err error
 	if f != nil {
 		read, err = f.ReadAt(p, off)
 	} else {
-		//lint:allow bufown Store.ReadAt follows io.ReaderAt, which forbids retaining p
-		read, err = sess.srv.cfg.Store.ReadAt(name, p, off)
+		read, err = store.ReadAt(name, p, off)
 	}
 	if err != nil && !(errors.Is(err, io.EOF) && read == len(p)) {
 		return fmt.Errorf("reading %s at %d: %w", name, off, err)
@@ -751,71 +706,115 @@ func (sess *serverSession) readBlock(name string, f *os.File, p []byte, off int6
 	return nil
 }
 
-// streamWriter sends one data stream's share of a GET. Each batch the
-// writer collects goes out in order: buffered payloads ride in one
-// writev with their headers, and a file-backed payload goes by
-// sendfile right after a writev that ends with its header.
+// streamWriter owns one data stream for the session: it reads,
+// checksums and sends that stream's share of every GET. Buffered
+// blocks ride in one writev with their headers, and a block whose CRC
+// is cached goes by sendfile right after a writev that ends with its
+// header. The writer's payload buffers never leave it.
 type streamWriter struct {
 	conn    net.Conn
 	file    *fileSender // nil: the stream takes buffered blocks only
-	stream  *Limiter
+	stream  *Limiter    // the current GET's per-stream limiter
 	link    *Limiter
 	timeout time.Duration
 	inst    *serverInstruments
 
-	// headers holds one encoded header per batch slot. scratch is the
-	// stable backing of each writev's vector; bufs is the consumable
-	// copy handed to writeBatch (the write advances it, leaving
-	// scratch's capacity intact).
+	// crcs holds the CRC of each block the writer sent in the current
+	// GET, in order; serveGet combines every writer's once all have
+	// finished. It grows only with blocks actually read or sent, never
+	// with the length a GET asks for.
+	crcs []uint32
+	// payload holds one block buffer per batch slot, allocated on first
+	// use and kept for the stream's life; headers holds one encoded
+	// header per slot. scratch is the stable backing of each writev's
+	// vector; bufs is the consumable copy handed to writeBatch (the
+	// write advances it, leaving scratch's capacity intact).
+	payload [][]byte
 	headers []byte
 	scratch net.Buffers
 	bufs    net.Buffers
 }
 
-func newStreamWriter(conn net.Conn, maxBatch int, stream, link *Limiter, timeout time.Duration, inst *serverInstruments) *streamWriter {
-	return &streamWriter{
+// newStreamWriter returns the writer for conn, which gathers up to
+// maxBatch buffered blocks per writev. Only a TCP conn can take
+// blocks by sendfile; any other (a net.Pipe, a wrapped conn) takes
+// buffered blocks only.
+func newStreamWriter(conn net.Conn, maxBatch int, link *Limiter, timeout time.Duration, inst *serverInstruments) *streamWriter {
+	w := &streamWriter{
 		conn:    conn,
-		stream:  stream,
 		link:    link,
 		timeout: timeout,
 		inst:    inst,
+		payload: make([][]byte, maxBatch),
 		headers: make([]byte, maxBatch*blockHeaderSize),
 		scratch: make(net.Buffers, 0, 2*maxBatch),
 	}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		w.file = newFileSender(tc)
+	}
+	return w
 }
 
-// write sends one batch of at most maxBatch blocks and returns the
-// bytes written.
-func (w *streamWriter) write(batch []queuedBlock) (int64, error) {
+// serve sends blocks first, first+stride, ... of g in order and returns
+// the bytes written. It stops early, without an error of its own, once
+// another writer of g has failed.
+func (w *streamWriter) serve(g *getJob, first, stride int64) (int64, error) {
 	var total int64
+	k := 0 // buffered blocks in the pending vector
 	w.scratch = w.scratch[:0]
-	headers := 0
-	for j, b := range batch {
-		h := w.headers[j*blockHeaderSize : (j+1)*blockHeaderSize]
-		encodeBlockHeader(h, b.header)
+	w.crcs = w.crcs[:0]
+	for b := first; b < g.blocks && !g.failed.Load(); b += stride {
+		off, n := g.block(b)
+		h := w.headers[k*blockHeaderSize : (k+1)*blockHeaderSize]
+		encodeBlockHeader(h, blockHeader{ReqID: g.req.ID, Offset: uint64(off), Length: uint32(n)})
 		w.scratch = append(w.scratch, h)
-		headers++
-		if b.buf != nil {
-			w.scratch = append(w.scratch, *b.buf)
-			continue
+		crc, cached := g.sidecar.lookup(off, n)
+		if cached {
+			w.inst.crcCacheHits.Inc()
 		}
-		n, err := w.flush(headers)
-		total += n
-		if err != nil {
-			return total, err
+		if cached && g.file != nil && w.file != nil {
+			sent, err := w.flush(k + 1)
+			total += sent
+			if err == nil {
+				sent, err = w.sendFile(g.file, off, n)
+				total += sent
+			}
+			if err != nil {
+				return total, g.fail(err)
+			}
+			k = 0
+		} else {
+			if int64(cap(w.payload[k])) < n {
+				w.payload[k] = make([]byte, g.blockSize)
+			}
+			p := w.payload[k][:n]
+			if err := readBlock(g.store, g.req.Name, g.file, p, off); err != nil {
+				return total, g.fail(err)
+			}
+			if !cached {
+				crc = crc32.Checksum(p, crcTable)
+				if g.sidecar != nil {
+					g.sidecar.store(off, n, crc)
+					w.inst.crcCacheMisses.Inc()
+				}
+			}
+			w.scratch = append(w.scratch, p)
+			if k++; k == len(w.payload) {
+				sent, err := w.flush(k)
+				total += sent
+				if err != nil {
+					return total, g.fail(err)
+				}
+				k = 0
+			}
 		}
-		headers = 0
-		n, err = w.sendFile(b.file, int64(b.header.Offset), int64(b.header.Length))
-		total += n
-		if err != nil {
-			return total, err
-		}
+		w.crcs = append(w.crcs, crc)
 	}
-	if headers > 0 {
-		n, err := w.flush(headers)
-		total += n
+	if k > 0 && !g.failed.Load() {
+		sent, err := w.flush(k)
+		total += sent
 		if err != nil {
-			return total, err
+			return total, g.fail(err)
 		}
 	}
 	return total, nil

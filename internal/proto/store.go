@@ -226,9 +226,9 @@ func nameHash(name string) uint64 {
 
 // Sink is the client-side destination for received blocks.
 type Sink interface {
-	// WriteAt stores payload p of file name at offset off. p is a
-	// pooled buffer the channel reuses for the next block: it is only
-	// valid for the duration of the call and must not be retained.
+	// WriteAt stores payload p of file name at offset off. p is the
+	// stream's buffer, reused for the next block: it is only valid for
+	// the duration of the call and must not be retained.
 	WriteAt(name string, p []byte, off int64) (int, error)
 	// Close finalizes the file once all its bytes have arrived.
 	Close(name string) error

@@ -11,9 +11,9 @@ import (
 
 // fileSender moves file ranges onto one TCP data stream with
 // sendfile(2), so a warm block goes from the page cache to the socket
-// without a pread into user space or a copy back out. A serve builds
-// one per stream and GET; a send allocates nothing, because the
-// RawConn callback is bound once and its state lives here.
+// without a pread into user space or a copy back out. Each stream
+// writer builds one for its connection; a send allocates nothing,
+// because the RawConn callback is bound once and its state lives here.
 //
 // The offset is always explicit. Writers striping one file share its
 // descriptor, so the descriptor's own position — which sendfile with a
@@ -28,14 +28,9 @@ type fileSender struct {
 	step   func(fd uintptr) bool
 }
 
-// newFileSender returns a sender for conn, or nil when conn is not a
-// TCP connection (a net.Pipe, a wrapped conn) and so cannot take
-// file-backed blocks.
-func newFileSender(conn net.Conn) *fileSender {
-	tc, ok := conn.(*net.TCPConn)
-	if !ok {
-		return nil
-	}
+// newFileSender returns a sender for tc, or nil when its raw
+// descriptor is out of reach.
+func newFileSender(tc *net.TCPConn) *fileSender {
 	raw, err := tc.SyscallConn()
 	if err != nil {
 		return nil

@@ -14,7 +14,7 @@ import (
 // path.
 type fileSender struct{}
 
-func newFileSender(net.Conn) *fileSender { return nil }
+func newFileSender(*net.TCPConn) *fileSender { return nil }
 
 func (*fileSender) send(*os.File, int64, int64) (int64, error) {
 	return 0, errors.ErrUnsupported

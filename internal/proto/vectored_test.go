@@ -128,47 +128,6 @@ func TestWriteBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestCollectBatch(t *testing.T) {
-	mkq := func(n int) chan queuedBlock {
-		q := make(chan queuedBlock, 16)
-		for i := 0; i < n; i++ {
-			q <- queuedBlock{header: blockHeader{ReqID: uint32(i)}}
-		}
-		return q
-	}
-
-	// Backlog is drained without blocking, capped at max.
-	q := mkq(5)
-	batch, open := collectBatch(q, nil, 3)
-	if !open || len(batch) != 3 {
-		t.Errorf("backlog drain: got %d blocks open=%v, want 3 true", len(batch), open)
-	}
-	for i, b := range batch {
-		if b.header.ReqID != uint32(i) {
-			t.Errorf("batch[%d] = req %d, want %d (order lost)", i, b.header.ReqID, i)
-		}
-	}
-	// The rest of the backlog is still there for the next call.
-	batch, open = collectBatch(q, batch, 3)
-	if !open || len(batch) != 2 {
-		t.Errorf("second drain: got %d blocks open=%v, want 2 true", len(batch), open)
-	}
-
-	// A close observed mid-drain still hands back the gathered batch.
-	q = mkq(2)
-	close(q)
-	batch, open = collectBatch(q, batch, 8)
-	if open || len(batch) != 2 {
-		t.Errorf("close mid-drain: got %d blocks open=%v, want 2 false", len(batch), open)
-	}
-
-	// Closed and empty terminates.
-	batch, open = collectBatch(q, batch, 8)
-	if open || len(batch) != 0 {
-		t.Errorf("closed empty: got %d blocks open=%v, want 0 false", len(batch), open)
-	}
-}
-
 func TestVectoredFetchCountsBatches(t *testing.T) {
 	// An unshaped loopback transfer must ship every block through the
 	// vectored path: blocks written == blocks served, and each batch is
@@ -311,43 +270,6 @@ func TestCRCCacheEviction(t *testing.T) {
 	if n := c.len(); n != 2 {
 		t.Errorf("cache holds %d entries past capacity 2", n)
 	}
-}
-
-func TestBlockBufPoolBuckets(t *testing.T) {
-	cases := []struct {
-		n       int
-		wantCap int
-	}{
-		{1, 64 * 1024},
-		{64 * 1024, 64 * 1024},
-		{64*1024 + 1, 128 * 1024},
-		{256 * 1024, 256 * 1024},
-		{5 * 1024 * 1024, 8 * 1024 * 1024},
-		{8 * 1024 * 1024, 8 * 1024 * 1024},
-	}
-	for _, tc := range cases {
-		p := getBlockBuf(tc.n)
-		if len(*p) != tc.n {
-			t.Errorf("getBlockBuf(%d): len %d", tc.n, len(*p))
-		}
-		if cap(*p) != tc.wantCap {
-			t.Errorf("getBlockBuf(%d): cap %d, want bucket %d", tc.n, cap(*p), tc.wantCap)
-		}
-		putBlockBuf(p)
-	}
-
-	// Oversized requests bypass the pool and keep their exact size.
-	big := getBlockBuf(9 * 1024 * 1024)
-	if len(*big) != 9*1024*1024 || cap(*big) != 9*1024*1024 {
-		t.Errorf("oversized buf: len %d cap %d", len(*big), cap(*big))
-	}
-	putBlockBuf(big) // dropped, not pooled; must not panic
-
-	// Foreign capacities (not a bucket size) are rejected rather than
-	// poisoning a bucket with a short buffer.
-	odd := make([]byte, 100*1024)
-	putBlockBuf(&odd)
-	putBlockBuf(nil)
 }
 
 func TestDirSinkPreallocateMarkerLifecycle(t *testing.T) {

@@ -47,8 +47,13 @@ const blockHeaderSize = 2 + 4 + 8 + 4
 // DefaultBlockSize is the striping unit on data streams.
 const DefaultBlockSize = 256 * 1024
 
-// blockHeader frames one payload block on a data stream. A Length of
-// zero marks the final block of a request on this stream.
+// maxBlockSize caps a block's payload. A server refuses a larger
+// BlockSize, and a client fails the channel on a header announcing
+// more instead of allocating whatever its Length asks for.
+const maxBlockSize = 8 << 20
+
+// blockHeader frames one payload block on a data stream: Length bytes
+// of request ReqID's file, from file offset Offset, follow it.
 type blockHeader struct {
 	ReqID  uint32
 	Offset uint64

@@ -14,7 +14,7 @@ go build -o "$tmp/vettool" ./cmd/vettool
 echo "== go vet (standard analyzers)"
 go vet ./...
 
-echo "== go vet -vettool (mapfloatsum, nodeterm, bufown, nakedgo, deadlineio, errclass, metriclint)"
+echo "== go vet -vettool (mapfloatsum, nodeterm, nakedgo, deadlineio, errclass, metriclint)"
 # go vet analyzes the test variant of every package, so _test.go files
 # are under the same rules as production code. Diagnostics are also
 # collected as JSONL (one object per finding) for the CI artifact; set
@@ -78,7 +78,7 @@ fi
 
 echo "== proto dependency audit (stdlib + first-party allowlist)"
 # The data plane must stay stdlib-plus-first-party: its hot paths lean
-# on exact stdlib behaviour (net.Buffers writev, sync.Pool, hash/crc32)
+# on exact stdlib behaviour (net.Buffers writev, sendfile, hash/crc32)
 # and a third-party dependency creeping in here would be the first place
 # supply-chain risk meets every byte transferred. The allowlist is the
 # current closure; extending it is a reviewed decision, not an accident.
