@@ -54,10 +54,10 @@ type Client struct {
 	// budget.
 	VerifyChecksums bool
 	// BlockSize is the striping unit the server is expected to use; it
-	// sizes each stream's read buffer and payload buffer so a whole
-	// block is absorbed without splitting reads. DefaultBlockSize when
-	// zero. A mismatch is only a performance miss: a larger server
-	// block replaces the payload buffer with one that fits.
+	// sizes each stream's payload buffer, which the socket reads a
+	// block's payload straight into. DefaultBlockSize when zero. A
+	// mismatch is only a performance miss: a larger server block
+	// replaces the payload buffer with one that fits.
 	BlockSize int
 	// StallTimeout arms the per-channel stall watchdog: when requests
 	// are outstanding and no bytes arrive on any of the channel's
@@ -168,6 +168,13 @@ func (c *Client) instruments() *clientInstruments {
 	})
 	return &c.inst
 }
+
+// streamReadBufSize sizes a data stream's read buffer: room for a block
+// header and a short block tail, far below any block. Once its unread
+// bytes are taken, the rest of a payload at least this long bypasses it
+// (bufio reads a request at least as large as its buffer directly), so
+// the buffer never holds a second copy of a block.
+const streamReadBufSize = 4 * 1024
 
 func (c *Client) blockSize() int {
 	if c.BlockSize > 0 {
@@ -570,11 +577,13 @@ func (ch *Channel) streamLoop(conn net.Conn) {
 	// the channel's payload, its duration the stream's useful lifetime.
 	ssp := ch.span.Child(span.NameChannelStream)
 	defer ssp.End()
-	// The read buffer matches the expected block size so a full block
-	// (header + payload) is absorbed in a couple of reads instead of
-	// fragmenting across many smaller ones.
+	// The read buffer (streamReadBufSize) holds a header and a short
+	// block tail, never a block: past the bytes a header fill read
+	// ahead, ReadFull reads each payload from the socket straight into
+	// buf, so all but at most about 8 KiB per block is copied once in
+	// user space.
 	//lint:allow deadlineio conn is a progressConn counted by the stall watchdog, which closes it when progress stops
-	br := bufio.NewReaderSize(conn, ch.client.blockSize())
+	br := bufio.NewReaderSize(conn, streamReadBufSize)
 	// One payload buffer and one header scratch per stream, owned by
 	// this loop for the connection's lifetime: the steady-state receive
 	// path never allocates per block.

@@ -162,7 +162,8 @@ func TestFirstDialFollowsFailureRule(t *testing.T) {
 // TestDeadServerFailsFinish starts a session against a server that
 // refuses every dial. Start succeeds (it does no I/O); the worker books
 // one retry per failed dial and fails the session once MaxRetries+1
-// dials have failed, and Finish returns with no worker left running.
+// dials have failed. Finish returns only after every worker's teardown,
+// and every worker goroutine then exits.
 func TestDeadServerFailsFinish(t *testing.T) {
 	ds := dataset.NewGenerator(73).Uniform(2, 64*units.KB)
 	reg := obs.NewRegistry()
@@ -183,9 +184,13 @@ func TestDeadServerFailsFinish(t *testing.T) {
 	if got := reg.Counter("retries_total").Value(); got != 3 {
 		t.Errorf("retries_total = %d, want 3", got)
 	}
-	if n := runningWorkers(); n != 0 {
-		t.Errorf("%d executor workers still running after Finish", n)
+	// A worker closes its channel and leaves s.workers before the
+	// deferred wg.Done that releases Finish, so none is listed once
+	// Finish returns; its goroutine may still be on its way out.
+	if n := sess.(*realSession).liveWorkers(); n != 0 {
+		t.Errorf("%d executor workers listed after Finish", n)
 	}
+	waitNoWorkers(t)
 }
 
 // closeFailSink is a VerifySink whose Close fails for one file.

@@ -174,16 +174,8 @@ func FuzzStreamLoop(f *testing.F) {
 	f.Add([]byte("not a block header"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const off, length = 100, 50
-		c := &Client{VerifyChecksums: true}
-		ch := &Channel{client: c, inst: c.instruments(), pending: make(map[uint32]*pendingGet)}
-		ch.pending[1] = &pendingGet{
-			name:     "f",
-			offset:   off,
-			length:   length,
-			sink:     rangeSink{t: t, lo: off, hi: off + length},
-			ctrlDone: make(chan struct{}),
-			dataDone: make(chan struct{}),
-		}
+		ch, _ := streamChannel(&Client{VerifyChecksums: true}, []testGet{{name: "f", off: off, length: length}},
+			rangeSink{t: t, lo: off, hi: off + length})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		r, w := net.Pipe()
@@ -195,12 +187,13 @@ func FuzzStreamLoop(f *testing.F) {
 		ch.streamLoop(r) // returns once the stream ends or breaks the protocol
 		r.Close()
 		runtime.ReadMemStats(&after)
-		// The read buffer and the first payload buffer are one default
-		// block each. A payload buffer is only outgrown once a block that
-		// filled it was read whole from data, so every buffer but the
-		// last sums to at most len(data), and the last holds at most
-		// maxBlockSize. The last MiB is slack for the runtime.
-		bound := uint64(len(data) + maxBlockSize + 2*DefaultBlockSize + 1<<20)
+		// The first payload buffer is one default block, and the read
+		// buffer streamReadBufSize. A payload buffer is only outgrown
+		// once a block that filled it was read whole from data, so every
+		// buffer but the last sums to at most len(data), and the last
+		// holds at most maxBlockSize. The last MiB is slack for the
+		// runtime.
+		bound := uint64(len(data) + maxBlockSize + DefaultBlockSize + streamReadBufSize + 1<<20)
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > bound {
 			t.Errorf("stream loop allocated %d bytes, bound %d", grown, bound)
 		}
