@@ -15,25 +15,22 @@ package eta_test
 //	Fig. 10 — end-system vs network energy   (BenchmarkFig10EnergySplit)
 //	§2.2    — power-model validation         (BenchmarkTable2ModelError)
 //
-// plus micro-benchmarks of the load-bearing primitives.
+// plus micro-benchmarks of the simulator-side primitives. The real-TCP
+// data plane has no benchmark here: perfbench measures it end to end
+// and per layer (perfbench/NOTES.md), and scripts/ab.sh gates a change
+// on it against its base revision.
 
 import (
 	"context"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"github.com/didclab/eta/internal/core"
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/experiments"
-	"github.com/didclab/eta/internal/obs"
-	"github.com/didclab/eta/internal/obs/span"
 	"github.com/didclab/eta/internal/power"
-	"github.com/didclab/eta/internal/proto"
-	"github.com/didclab/eta/internal/sched"
 	"github.com/didclab/eta/internal/testbed"
 	"github.com/didclab/eta/internal/transfer"
-	"github.com/didclab/eta/internal/units"
 )
 
 func benchSweep(b *testing.B, tb testbed.Testbed) {
@@ -177,258 +174,6 @@ func BenchmarkFitFineGrained(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSynthFill(b *testing.B) {
-	buf := make([]byte, 1<<20)
-	b.SetBytes(int64(len(buf)))
-	for i := 0; i < b.N; i++ {
-		proto.FillSynth("bench.dat", int64(i)<<20, buf)
-	}
-}
-
-func BenchmarkProtoLoopback(b *testing.B) {
-	// Real-TCP end-to-end throughput on loopback: 64 MB per iteration
-	// across 4 striped streams, re-dialing the channel every iteration
-	// (connection setup included).
-	ds := dataset.NewGenerator(1).Uniform(16, 4*units.MB)
-	srv, err := proto.ListenAndServe("127.0.0.1:0", proto.ServerConfig{Store: proto.NewSynthStore(ds)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	b.SetBytes(int64(ds.TotalSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		client := &proto.Client{Addr: srv.Addr()}
-		ch, err := client.OpenChannel(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ch.Fetch(ds.Files, 4, discardSink{}); err != nil {
-			b.Fatal(err)
-		}
-		ch.Close()
-	}
-}
-
-// BenchmarkProtoLoopbackSteady reuses one channel across iterations —
-// the steady state in which every stream already owns its block
-// buffers. Run with -benchmem:
-// allocs/op here is the per-64MB-transfer allocation cost with dialing
-// excluded, so the zero-alloc data path is directly visible.
-func BenchmarkProtoLoopbackSteady(b *testing.B) {
-	ds := dataset.NewGenerator(1).Uniform(16, 4*units.MB)
-	srv, err := proto.ListenAndServe("127.0.0.1:0", proto.ServerConfig{Store: proto.NewSynthStore(ds)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := &proto.Client{Addr: srv.Addr()}
-	ch, err := client.OpenChannel(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ch.Close()
-	b.SetBytes(int64(ds.TotalSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ch.Fetch(ds.Files, 4, discardSink{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLoopbackTraced is BenchmarkProtoLoopbackSteady with span
-// tracing on for both ends (events discarded, metrics live): the
-// steady-state cost of the tracer on the hot path. Compare its MB/s
-// against the untraced steady benchmark to see the instrumentation
-// overhead; the bench gate holds it to the same tolerance as the rest
-// of the data plane.
-func BenchmarkLoopbackTraced(b *testing.B) {
-	ds := dataset.NewGenerator(1).Uniform(16, 4*units.MB)
-	reg := obs.NewRegistry()
-	events := obs.NewLog(nil)
-	tracer := span.NewTracer(reg, events)
-	srv, err := proto.ListenAndServe("127.0.0.1:0", proto.ServerConfig{
-		Store:  proto.NewSynthStore(ds),
-		Events: events,
-		Trace:  tracer,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := &proto.Client{Addr: srv.Addr(), Trace: tracer}
-	ch, err := client.OpenChannel(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ch.Close()
-	b.SetBytes(int64(ds.TotalSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ch.Fetch(ds.Files, 4, discardSink{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if n := int64(b.N); n > 0 {
-		b.ReportMetric(float64(reg.Counter("spans_started").Value())/float64(n), "spans_per_op")
-	}
-}
-
-// BenchmarkLoopbackVectored measures the vectored data plane in its
-// steady state: one reused channel, 64 MB per iteration across 4
-// striped streams, with the server's CRC sidecar warm after the first
-// iteration. Beyond throughput it reports writes_per_block — vectored
-// write batches issued per block served, where 1.0 means every block
-// cost exactly one writev (header coalesced) and below 1.0 means
-// backlog batching merged blocks — and crc_hit_pct, the share of
-// blocks whose checksum came from the sidecar instead of a hash pass.
-func BenchmarkLoopbackVectored(b *testing.B) {
-	ds := dataset.NewGenerator(1).Uniform(16, 4*units.MB)
-	reg := obs.NewRegistry()
-	srv, err := proto.ListenAndServe("127.0.0.1:0", proto.ServerConfig{
-		Store:   proto.NewSynthStore(ds),
-		Metrics: reg,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := &proto.Client{Addr: srv.Addr()}
-	ch, err := client.OpenChannel(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ch.Close()
-	batches := reg.Counter("server_writev_batches")
-	blocks := reg.Counter("server_writev_blocks")
-	hits := reg.Counter("server_crc_cache_hits")
-	// Warm the sidecar (first serve hashes every block) outside the
-	// timed region.
-	if _, err := ch.Fetch(ds.Files, 4, discardSink{}); err != nil {
-		b.Fatal(err)
-	}
-	batches0, blocks0, hits0 := batches.Value(), blocks.Value(), hits.Value()
-	b.SetBytes(int64(ds.TotalSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ch.Fetch(ds.Files, 4, discardSink{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	servedBlocks := blocks.Value() - blocks0
-	if servedBlocks > 0 {
-		b.ReportMetric(float64(batches.Value()-batches0)/float64(servedBlocks), "writes_per_block")
-		b.ReportMetric(100*float64(hits.Value()-hits0)/float64(servedBlocks), "crc_hit_pct")
-	}
-}
-
-// BenchmarkLoopbackMultiEndpoint measures the multi-endpoint data
-// plane: two loopback replicas behind an equal-weight EndpointPool, one
-// steady channel per replica, 64 MB per iteration split across them.
-// This is the 2-endpoint datapoint the bench gate records so placement
-// overhead (pool picks, per-endpoint instruments) stays visible.
-func BenchmarkLoopbackMultiEndpoint(b *testing.B) {
-	ds := dataset.NewGenerator(1).Uniform(16, 4*units.MB)
-	srvs := make([]*proto.Server, 2)
-	eps := make([]proto.Endpoint, 2)
-	for i := range srvs {
-		srv, err := proto.ListenAndServe("127.0.0.1:0", proto.ServerConfig{Store: proto.NewSynthStore(ds)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		srvs[i] = srv
-		eps[i] = proto.Endpoint{Addr: srv.Addr(), Weight: 1}
-	}
-	pool, err := proto.NewEndpointPool(eps...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	client := &proto.Client{Endpoints: pool}
-	chans := make([]*proto.Channel, 2)
-	for i := range chans {
-		ch, err := client.OpenChannel(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ch.Close()
-		chans[i] = ch
-	}
-	halves := [][]dataset.File{ds.Files[:len(ds.Files)/2], ds.Files[len(ds.Files)/2:]}
-	ctx := context.Background()
-	b.SetBytes(int64(ds.TotalSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.Map(ctx, 2, 2, func(_ context.Context, k int) (proto.FetchResult, error) {
-			return chans[k].Fetch(halves[k], 4, discardSink{})
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLoopbackJournal measures the durability tax: a journal-enabled
-// transfer to a real DirSink (fsync-on-close, receipt journal with the
-// default 25ms group commit) versus the discard-path benchmarks above.
-// Each iteration delivers 16 MB into a fresh destination and reports
-// appends_per_mb — journaled receipts per delivered megabyte — so a
-// change that starts journaling per-write instead of per-block shows up
-// even when tmpfs hides the fsync cost.
-func BenchmarkLoopbackJournal(b *testing.B) {
-	ds := dataset.NewGenerator(1).Uniform(16, 1*units.MB)
-	srv, err := proto.ListenAndServe("127.0.0.1:0", proto.ServerConfig{Store: proto.NewSynthStore(ds)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	reg := obs.NewRegistry()
-	b.SetBytes(int64(ds.TotalSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dest := b.TempDir()
-		b.StartTimer()
-		jr, err := proto.OpenJournal(filepath.Join(dest, proto.JournalFileName), proto.JournalOptions{Metrics: reg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink := proto.NewDirSink(dest)
-		sink.SyncOnClose = true
-		client := &proto.Client{Addr: srv.Addr(), Journal: jr}
-		ch, err := client.OpenChannel(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ch.Fetch(ds.Files, 4, sink); err != nil {
-			b.Fatal(err)
-		}
-		ch.Close()
-		if err := jr.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if appends := reg.Counter("journal_appends").Value(); b.N > 0 {
-		perMB := float64(appends) / float64(b.N) / (float64(ds.TotalSize()) / float64(units.MB))
-		b.ReportMetric(perMB, "appends_per_mb")
-	}
-}
-
-// discardSink drops payload as fast as possible for throughput benches.
-type discardSink struct{}
-
-func (discardSink) WriteAt(_ string, p []byte, _ int64) (int, error) { return len(p), nil }
-func (discardSink) Close(string) error                               { return nil }
 
 func BenchmarkAblationsXSEDE(b *testing.B) {
 	ctx := context.Background()

@@ -253,7 +253,11 @@ func (c *Client) listFrom(addr string) ([]dataset.File, error) {
 			if err != nil || size < 0 {
 				return nil, fmt.Errorf("proto: bad file size %q", fields[0])
 			}
-			files = append(files, dataset.File{Name: unescapeName(fields[1]), Size: units.Bytes(size)})
+			name, err := unescapeName(fields[1])
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, dataset.File{Name: name, Size: units.Bytes(size)})
 		case respEnd:
 			_, _ = io.WriteString(conn, cmdQuit+"\n")
 			return files, nil

@@ -2,13 +2,17 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/obs"
+	"github.com/didclab/eta/internal/sched"
+	"github.com/didclab/eta/internal/units"
 )
 
 func TestParseEndpoints(t *testing.T) {
@@ -324,5 +328,52 @@ func TestClientTargetJoinsPool(t *testing.T) {
 	c := &Client{Endpoints: pool}
 	if got := c.Target(); got != "a:1+b:2" {
 		t.Fatalf("Target = %q", got)
+	}
+}
+
+// BenchmarkLoopbackMultiEndpoint measures the multi-endpoint data
+// plane: two loopback replicas behind an equal-weight EndpointPool, one
+// steady channel per replica, 64 MB per iteration split across them.
+// perfbench has no multi-replica fixture, so this is where placement
+// overhead (pool picks, per-endpoint instruments) stays visible; it is
+// not gated.
+func BenchmarkLoopbackMultiEndpoint(b *testing.B) {
+	ds := dataset.NewGenerator(1).Uniform(16, 4*units.MB)
+	srvs := make([]*Server, 2)
+	eps := make([]Endpoint, 2)
+	for i := range srvs {
+		srv, err := ListenAndServe("127.0.0.1:0", ServerConfig{Store: NewSynthStore(ds)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		srvs[i] = srv
+		eps[i] = Endpoint{Addr: srv.Addr(), Weight: 1}
+	}
+	pool, err := NewEndpointPool(eps...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := &Client{Endpoints: pool}
+	chans := make([]*Channel, 2)
+	for i := range chans {
+		ch, err := client.OpenChannel(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ch.Close()
+		chans[i] = ch
+	}
+	halves := [][]dataset.File{ds.Files[:len(ds.Files)/2], ds.Files[len(ds.Files)/2:]}
+	ctx := context.Background()
+	b.SetBytes(int64(ds.TotalSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.Map(ctx, 2, 2, func(_ context.Context, k int) (FetchResult, error) {
+			return chans[k].Fetch(halves[k], 4, discardSink{})
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -34,9 +34,8 @@ func FuzzParseGet(f *testing.F) {
 		if err != nil {
 			t.Fatalf("formatted GET unparseable: %q (%v)", out, err)
 		}
-		// Offsets/lengths/id survive exactly; names survive modulo the
-		// space escaping (space becomes %20 on the first round trip).
-		if req2.ID != req.ID || req2.Offset != req.Offset || req2.Length != req.Length {
+		// Every field, the name included, survives exactly.
+		if req2 != req {
 			t.Fatalf("round trip changed request: %+v vs %+v", req, req2)
 		}
 	})

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -63,7 +65,8 @@ func TestBlockHeaderBadMagic(t *testing.T) {
 
 func TestGetLineRoundTrip(t *testing.T) {
 	f := func(id uint32, offRaw, lenRaw uint32, nameRaw uint8) bool {
-		names := []string{"a.dat", "dir/b.dat", "with space.bin", "span0/file00001.dat"}
+		names := []string{"a.dat", "dir/b.dat", "with space.bin", "span0/file00001.dat",
+			"x%20y", "tab\tname", "nb\u00a0sp.dat"}
 		req := getRequest{
 			ID:     id,
 			Name:   names[int(nameRaw)%len(names)],
@@ -91,6 +94,8 @@ func TestParseGetErrors(t *testing.T) {
 		{"x", "f", "0", "1"},
 		{"1", "f", "-1", "1"},
 		{"1", "f", "0", "-1"},
+		{"1", "bad%zzescape", "0", "1"},
+		{"1", "cut%2", "0", "1"},
 	}
 	for _, fields := range bad {
 		if _, err := parseGet(fields); err == nil {
@@ -296,6 +301,34 @@ func TestPipeliningHidesControlRTT(t *testing.T) {
 	}
 }
 
+// Client.List refuses a FILE line whose name is a malformed escape.
+func TestListRejectsMalformedName(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		br := bufio.NewReader(c)
+		for _, reply := range []string{respOK + " 1\n", respFile + " 10 bad%zz\n" + respEnd + "\n"} {
+			if _, err := br.ReadString('\n'); err != nil { // HELLO, then LIST
+				return
+			}
+			if _, err := io.WriteString(c, reply); err != nil {
+				return
+			}
+		}
+	}()
+	if files, err := (&Client{Addr: ln.Addr().String()}).List(); err == nil {
+		t.Fatalf("List accepted a malformed name: %v", files)
+	}
+}
+
 func TestDirStoreAndDirSinkRoundTrip(t *testing.T) {
 	srcDir := t.TempDir()
 	dstDir := t.TempDir()
@@ -306,6 +339,11 @@ func TestDirStoreAndDirSinkRoundTrip(t *testing.T) {
 		// Names that start with two dots are not ".." path elements.
 		"..config": []byte("dotdot"),
 		"sub/..rc": []byte("nested dotdot"),
+		// An escape sequence and whitespace other than a space are
+		// carried as themselves on the control line.
+		"x%20y":          []byte("percent"),
+		"tab\tname":      []byte("tab"),
+		"nb\u00a0sp.dat": []byte("no-break space"),
 	}
 	for name, content := range want {
 		path := filepath.Join(srcDir, filepath.FromSlash(name))
@@ -400,6 +438,102 @@ func TestServerRejectsGarbage(t *testing.T) {
 	verb, _, err := readLine(br)
 	if err != nil || verb != respErr {
 		t.Errorf("expected ERR, got %q err %v", verb, err)
+	}
+}
+
+// A DATA handshake whose stream index is past maxStreams is refused
+// before the session's stream table grows to fit it.
+func TestServerRejectsHugeStreamIndex(t *testing.T) {
+	ds := dataset.NewGenerator(9).Uniform(1, units.KB)
+	srv := synthServer(t, ds, nil)
+	ctrl, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	fmt.Fprintf(ctrl, "HELLO\n")
+	verb, fields, err := readLine(bufio.NewReader(ctrl))
+	if err != nil || verb != respOK || len(fields) != 1 {
+		t.Fatalf("HELLO: got %q %v err %v", verb, fields, err)
+	}
+	data, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+	_ = data.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fmt.Fprintf(data, "%s %s %d\n", cmdData, fields[0], 1<<20)
+	if verb, _, err := readLine(bufio.NewReader(data)); err != nil || verb != respErr {
+		t.Errorf("DATA with stream index 1<<20: expected ERR, got %q err %v", verb, err)
+	}
+}
+
+// A control line past maxLineLen is an error, whatever the reader's
+// buffer size; a line at the cap is read.
+func TestReadLineCapsLength(t *testing.T) {
+	long := cmdGet + " " + strings.Repeat("x", 1<<20) + "\n"
+	atCap := cmdGet + " " + strings.Repeat("x", maxLineLen-len(cmdGet)-2) + "\n"
+	for _, size := range []int{4096, maxLineLen} {
+		if _, _, err := readLine(bufio.NewReaderSize(strings.NewReader(long), size)); err == nil {
+			t.Errorf("reader size %d: a 1 MiB line was accepted", size)
+		}
+		verb, fields, err := readLine(bufio.NewReaderSize(strings.NewReader(atCap), size))
+		if err != nil || verb != cmdGet || len(fields) != 1 || len(fields[0]) != maxLineLen-len(cmdGet)-2 {
+			t.Errorf("reader size %d: a line of maxLineLen bytes: verb %q, %d fields, err %v", size, verb, len(fields), err)
+		}
+	}
+}
+
+// A server drops a control connection whose line outgrows maxLineLen
+// instead of buffering it until a newline arrives.
+func TestServerDropsOverlongControlLine(t *testing.T) {
+	ds := dataset.NewGenerator(9).Uniform(1, units.KB)
+	srv := synthServer(t, ds, nil)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "HELLO\n")
+	if verb, _, err := readLine(br); err != nil || verb != respOK {
+		t.Fatalf("HELLO: got %q err %v", verb, err)
+	}
+	// The write fails once the server has closed the connection.
+	_, _ = conn.Write(bytes.Repeat([]byte{'x'}, 1<<20))
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = br.ReadByte()
+	var nerr net.Error
+	if err == nil || errors.As(err, &nerr) && nerr.Timeout() {
+		t.Errorf("server kept a connection sending a 1 MiB line: read err %v", err)
+	}
+}
+
+// A 4096-byte name, longer than the client's control reader, round-trips
+// through LIST and GET.
+func TestLongNameRoundTrip(t *testing.T) {
+	name := strings.Repeat("long name\t", 410)[:4096]
+	ds := dataset.Dataset{Files: []dataset.File{{Name: name, Size: 3000}}}
+	srv := synthServer(t, ds, nil)
+	client := &Client{Addr: srv.Addr()}
+	files, err := client.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || files[0] != ds.Files[0] {
+		t.Fatalf("listed %d files, first name %d bytes", len(files), len(files[0].Name))
+	}
+	ch, err := client.OpenChannel(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	sink := NewVerifySink()
+	if _, err := ch.Fetch(files, 1, sink); err != nil {
+		t.Fatal(err)
+	}
+	if bad := sink.Corrupt(); len(bad) > 0 || sink.BytesFor(name) != 3000 {
+		t.Fatalf("corrupt ranges %v, %d of 3000 bytes", bad, sink.BytesFor(name))
 	}
 }
 

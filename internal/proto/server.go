@@ -269,7 +269,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			_ = conn.SetDeadline(time.Time{})
 		}
 	}
-	br := bufio.NewReaderSize(conn, 64*1024)
+	br := bufio.NewReaderSize(conn, maxLineLen)
 	verb, fields, err := readLine(br)
 	if err != nil {
 		conn.Close()
@@ -287,7 +287,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		sid, err1 := strconv.ParseUint(fields[0], 10, 64)
 		idx, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil || idx < 0 {
+		if err1 != nil || err2 != nil || idx < 0 || idx >= maxStreams {
 			fmt.Fprintf(conn, "%s bad DATA handshake\n", respErr)
 			conn.Close()
 			return
@@ -442,7 +442,7 @@ func (s *Server) runControl(conn net.Conn, br *bufio.Reader) {
 				continue
 			}
 			n, err := strconv.Atoi(fields[0])
-			if err != nil || n < 1 || n > 256 {
+			if err != nil || n < 1 || n > maxStreams {
 				sess.send("%s bad stream count %q\n", respErr, fields[0])
 				continue
 			}

@@ -16,9 +16,11 @@ package proto
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net/url"
 	"strconv"
 	"strings"
 )
@@ -37,6 +39,16 @@ const (
 	respDone = "DONE"
 	respErr  = "ERR"
 )
+
+// maxStreams caps a channel's data streams. OPEN's stream count and a
+// DATA handshake's stream index are both checked against it, so a peer
+// cannot make the server grow a session's stream table at will.
+const maxStreams = 256
+
+// maxLineLen caps a control line, newline included. It is also the
+// server's control reader size, so there a line that fits is read in
+// one ReadSlice.
+const maxLineLen = 64 << 10
 
 // blockMagic guards data-stream framing.
 const blockMagic uint16 = 0xE7A1
@@ -111,8 +123,7 @@ type getRequest struct {
 	Length int64
 }
 
-// formatGet renders a GET line. File names are URL-style escaped only
-// for spaces, which are the one character the line format cannot carry.
+// formatGet renders a GET line, with the file name escaped by escapeName.
 func formatGet(r getRequest) string {
 	return fmt.Sprintf("%s %d %s %d %d\n", cmdGet, r.ID, escapeName(r.Name), r.Offset, r.Length)
 }
@@ -133,30 +144,55 @@ func parseGet(fields []string) (getRequest, error) {
 	if err != nil || length < 0 {
 		return getRequest{}, fmt.Errorf("proto: bad length %q", fields[3])
 	}
+	name, err := unescapeName(fields[1])
+	if err != nil {
+		return getRequest{}, err
+	}
 	return getRequest{
 		ID:     uint32(id),
-		Name:   unescapeName(fields[1]),
+		Name:   name,
 		Offset: offset,
 		Length: length,
 	}, nil
 }
 
+// escapeName makes any file name one control-line field. url.PathEscape
+// percent-encodes '%', every ASCII space and control byte and every
+// byte of a multi-byte UTF-8 sequence, so nothing strings.Fields splits
+// on (Unicode spaces included) is left in the field.
 func escapeName(name string) string {
-	return strings.ReplaceAll(name, " ", "%20")
+	return url.PathEscape(name)
 }
 
-func unescapeName(name string) string {
-	return strings.ReplaceAll(name, "%20", " ")
+// unescapeName inverts escapeName, and rejects a malformed escape.
+func unescapeName(field string) (string, error) {
+	name, err := url.PathUnescape(field)
+	if err != nil {
+		return "", fmt.Errorf("proto: bad file name %q", field)
+	}
+	return name, nil
 }
 
 // readLine reads one \n-terminated control line and splits it into the
-// verb and its fields.
+// verb and its fields. A line longer than maxLineLen is an error, so a
+// peer that never sends a newline cannot pin unbounded memory.
 func readLine(r *bufio.Reader) (verb string, fields []string, err error) {
-	line, err := r.ReadString('\n')
+	line, err := r.ReadSlice('\n')
+	var long []byte // the line so far, once it outgrows r's buffer
+	for errors.Is(err, bufio.ErrBufferFull) && len(long)+len(line) <= maxLineLen {
+		long = append(long, line...)
+		line, err = r.ReadSlice('\n')
+	}
+	if len(long)+len(line) > maxLineLen {
+		return "", nil, fmt.Errorf("proto: control line longer than %d bytes", maxLineLen)
+	}
 	if err != nil {
 		return "", nil, err
 	}
-	parts := strings.Fields(strings.TrimSpace(line))
+	if long != nil {
+		line = append(long, line...)
+	}
+	parts := strings.Fields(string(line))
 	if len(parts) == 0 {
 		return "", nil, fmt.Errorf("proto: empty control line")
 	}
