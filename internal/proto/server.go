@@ -71,7 +71,8 @@ const dataDialTimeout = 10 * time.Second
 
 // maxBatchBlocks caps how many blocks one writev gathers on an
 // unshaped stream, amortizing syscalls; it is also how many payload
-// buffers a stream writer holds.
+// buffers a stream writer holds. It applies only to buffered blocks:
+// a GET sent by sendfile uses one buffer at most.
 const maxBatchBlocks = 8
 
 // batchBlocks is how many blocks a stream writer gathers per writev.
@@ -579,9 +580,7 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	// The whole-range CRC is built by combining per-block CRCs with
 	// CRC32CCombine. When the store can vouch for the file's identity
 	// and the range is block-aligned, block CRCs come from (and feed)
-	// the sidecar cache. A block whose CRC is cached has no reason to
-	// pass through user space: on a stream that can take it, it goes
-	// by sendfile. Every other block is read into a writer's buffer.
+	// the sidecar cache.
 	if req.Offset%blockSize == 0 {
 		if v, ok := cfg.Store.(Versioner); ok {
 			if size, mtime, ok := v.Version(req.Name); ok {
@@ -591,11 +590,13 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	}
 
 	// A store that hands out file handles is opened once for the whole
-	// GET. The identity above is taken first: a file replaced in between
-	// is then served under the old identity, which no later serve
-	// matches, instead of filing the old file's CRCs under the new one.
-	// The deferred close runs after wg.Wait below, when no writer can
-	// still be sending from the file.
+	// GET, and a stream that can take it sends every block's payload
+	// from the file by sendfile; only a block whose CRC is not cached
+	// is read, to be hashed. The identity above is taken first: a file
+	// replaced in between is then served under the old identity, which
+	// no later serve matches, instead of filing the old file's CRCs
+	// under the new one. The deferred close runs after wg.Wait below,
+	// when no writer can still be sending from the file.
 	if o, ok := cfg.Store.(Opener); ok && req.Length > 0 {
 		f, err := o.Open(req.Name)
 		if err != nil {
@@ -707,10 +708,12 @@ func readBlock(store Store, name string, f *os.File, p []byte, off int64) error 
 }
 
 // streamWriter owns one data stream for the session: it reads,
-// checksums and sends that stream's share of every GET. Buffered
-// blocks ride in one writev with their headers, and a block whose CRC
-// is cached goes by sendfile right after a writev that ends with its
-// header. The writer's payload buffers never leave it.
+// checksums and sends that stream's share of every GET. A block of a
+// GET with an open file goes by sendfile right after a writev of its
+// header; only a block the sidecar cannot vouch for is read first, into
+// the writer's one buffer, to be hashed. Any other GET's blocks are
+// read into the writer's buffers and ride in one writev with their
+// headers. The writer's payload buffers never leave it.
 type streamWriter struct {
 	conn    net.Conn
 	file    *fileSender // nil: the stream takes buffered blocks only
@@ -725,10 +728,11 @@ type streamWriter struct {
 	// with the length a GET asks for.
 	crcs []uint32
 	// payload holds one block buffer per batch slot, allocated on first
-	// use and kept for the stream's life; headers holds one encoded
-	// header per slot. scratch is the stable backing of each writev's
-	// vector; bufs is the consumable copy handed to writeBatch (the
-	// write advances it, leaving scratch's capacity intact).
+	// use and kept for the stream's life; a GET sent by sendfile uses
+	// slot 0 alone. headers holds one encoded header per slot. scratch
+	// is the stable backing of each writev's vector; bufs is the
+	// consumable copy handed to writeBatch (the write advances it,
+	// leaving scratch's capacity intact).
 	payload [][]byte
 	headers []byte
 	scratch net.Buffers
@@ -759,54 +763,73 @@ func newStreamWriter(conn net.Conn, maxBatch int, link *Limiter, timeout time.Du
 // the bytes written. It stops early, without an error of its own, once
 // another writer of g has failed.
 func (w *streamWriter) serve(g *getJob, first, stride int64) (int64, error) {
-	var total int64
-	k := 0 // buffered blocks in the pending vector
-	w.scratch = w.scratch[:0]
 	w.crcs = w.crcs[:0]
+	if g.file != nil && w.file != nil {
+		return w.serveFile(g, first, stride)
+	}
+	return w.serveBuffered(g, first, stride)
+}
+
+// serveFile sends each block as a writev of its header and a sendfile
+// of its payload. A block whose CRC the sidecar lacks is first read
+// into payload slot 0 and hashed, and its CRC is filed only once the
+// whole block has hashed; the payload still goes from the file, so the
+// stream never holds more than that one block.
+func (w *streamWriter) serveFile(g *getJob, first, stride int64) (int64, error) {
+	var total int64
+	h := w.headers[:blockHeaderSize]
+	for b := first; b < g.blocks && !g.failed.Load(); b += stride {
+		off, n := g.block(b)
+		crc, cached := w.lookup(g, off, n)
+		if !cached {
+			p := w.buffer(0, n, g.blockSize)
+			if err := readBlock(g.store, g.req.Name, g.file, p, off); err != nil {
+				return total, g.fail(err)
+			}
+			crc = w.hash(g, p, off)
+		}
+		encodeBlockHeader(h, blockHeader{ReqID: g.req.ID, Offset: uint64(off), Length: uint32(n)})
+		w.scratch = append(w.scratch[:0], h)
+		sent, err := w.flush(1)
+		total += sent
+		if err == nil {
+			sent, err = w.sendFile(g.file, off, n)
+			total += sent
+		}
+		if err != nil {
+			return total, g.fail(err)
+		}
+		w.crcs = append(w.crcs, crc)
+	}
+	return total, nil
+}
+
+// serveBuffered reads each block into its own payload slot and sends
+// up to len(w.payload) blocks, headers included, per writev.
+func (w *streamWriter) serveBuffered(g *getJob, first, stride int64) (int64, error) {
+	var total int64
+	k := 0 // blocks in the pending vector
+	w.scratch = w.scratch[:0]
 	for b := first; b < g.blocks && !g.failed.Load(); b += stride {
 		off, n := g.block(b)
 		h := w.headers[k*blockHeaderSize : (k+1)*blockHeaderSize]
 		encodeBlockHeader(h, blockHeader{ReqID: g.req.ID, Offset: uint64(off), Length: uint32(n)})
-		w.scratch = append(w.scratch, h)
-		crc, cached := g.sidecar.lookup(off, n)
-		if cached {
-			w.inst.crcCacheHits.Inc()
+		p := w.buffer(k, n, g.blockSize)
+		if err := readBlock(g.store, g.req.Name, g.file, p, off); err != nil {
+			return total, g.fail(err)
 		}
-		if cached && g.file != nil && w.file != nil {
-			sent, err := w.flush(k + 1)
+		crc, cached := w.lookup(g, off, n)
+		if !cached {
+			crc = w.hash(g, p, off)
+		}
+		w.scratch = append(w.scratch, h, p)
+		if k++; k == len(w.payload) {
+			sent, err := w.flush(k)
 			total += sent
-			if err == nil {
-				sent, err = w.sendFile(g.file, off, n)
-				total += sent
-			}
 			if err != nil {
 				return total, g.fail(err)
 			}
 			k = 0
-		} else {
-			if int64(cap(w.payload[k])) < n {
-				w.payload[k] = make([]byte, g.blockSize)
-			}
-			p := w.payload[k][:n]
-			if err := readBlock(g.store, g.req.Name, g.file, p, off); err != nil {
-				return total, g.fail(err)
-			}
-			if !cached {
-				crc = crc32.Checksum(p, crcTable)
-				if g.sidecar != nil {
-					g.sidecar.store(off, n, crc)
-					w.inst.crcCacheMisses.Inc()
-				}
-			}
-			w.scratch = append(w.scratch, p)
-			if k++; k == len(w.payload) {
-				sent, err := w.flush(k)
-				total += sent
-				if err != nil {
-					return total, g.fail(err)
-				}
-				k = 0
-			}
 		}
 		w.crcs = append(w.crcs, crc)
 	}
@@ -818,6 +841,36 @@ func (w *streamWriter) serve(g *getJob, first, stride int64) (int64, error) {
 		}
 	}
 	return total, nil
+}
+
+// buffer returns payload slot k cut to n bytes, giving the slot a
+// size-byte block on first use.
+func (w *streamWriter) buffer(k int, n, size int64) []byte {
+	if int64(cap(w.payload[k])) < n {
+		w.payload[k] = make([]byte, size)
+	}
+	return w.payload[k][:n]
+}
+
+// lookup returns the sidecar's CRC of the block at [off, off+n), if it
+// holds one, and counts the hit.
+func (w *streamWriter) lookup(g *getJob, off, n int64) (uint32, bool) {
+	crc, cached := g.sidecar.lookup(off, n)
+	if cached {
+		w.inst.crcCacheHits.Inc()
+	}
+	return crc, cached
+}
+
+// hash returns the CRC of p, the block at off, and files it in the
+// sidecar, which keeps it only when the block is exactly one tile.
+func (w *streamWriter) hash(g *getJob, p []byte, off int64) uint32 {
+	crc := crc32.Checksum(p, crcTable)
+	if g.sidecar != nil {
+		g.sidecar.store(off, int64(len(p)), crc)
+		w.inst.crcCacheMisses.Inc()
+	}
+	return crc
 }
 
 // flush writes the pending vector, which carries the given number of

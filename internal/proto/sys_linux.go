@@ -10,10 +10,11 @@ import (
 )
 
 // fileSender moves file ranges onto one TCP data stream with
-// sendfile(2), so a warm block goes from the page cache to the socket
-// without a pread into user space or a copy back out. Each stream
-// writer builds one for its connection; a send allocates nothing,
-// because the RawConn callback is bound once and its state lives here.
+// sendfile(2), so a block's payload goes from the page cache to the
+// socket without a copy out of user space; a warm block is not even
+// read into it. Each stream writer builds one for its connection; a
+// send allocates nothing, because the RawConn callback is bound once
+// and its state lives here.
 //
 // The offset is always explicit. Writers striping one file share its
 // descriptor, so the descriptor's own position — which sendfile with a
