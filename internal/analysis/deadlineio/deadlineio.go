@@ -8,7 +8,9 @@
 // A conn-typed variable is "armed" once any SetDeadline /
 // SetReadDeadline / SetWriteDeadline call on it appears in the same
 // function (flow-insensitive: arming under a config guard such as
-// `if cfg.StallTimeout > 0` counts). Unarmed conns may not:
+// `if cfg.StallTimeout > 0` counts). An element of a function-scope
+// []net.Conn (`streams[i]`) is checked as its slice variable, so arming
+// any element arms them all. Unarmed conns may not:
 //
 //   - call Read or Write directly, or
 //   - be passed (as a bare argument) to a function that is not itself
@@ -269,7 +271,9 @@ func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 
 // check flags blocking uses of unarmed conns in one function. Roots
 // are every function-scope variable of static type net.Conn (params
-// and locals alike); arming is flow-insensitive within the function.
+// and locals alike) and every function-scope []net.Conn, whose
+// elements share its arming; arming is flow-insensitive within the
+// function.
 func (a *analysis) check(fi *funcInfo) {
 	info := a.pass.TypesInfo
 	armed := make(map[types.Object]bool)
@@ -279,7 +283,7 @@ func (a *analysis) check(fi *funcInfo) {
 			return true
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isDeadlineMethod(sel.Sel.Name) {
-			if obj := identObj(info, sel.X); obj != nil && isNetConn(obj.Type()) {
+			if obj := connRoot(info, sel.X); obj != nil {
 				armed[obj] = true
 			}
 		}
@@ -291,9 +295,9 @@ func (a *analysis) check(fi *funcInfo) {
 			return true
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if obj := identObj(info, sel.X); obj != nil && isConnRoot(obj) && !armed[obj] {
+			if obj := connRoot(info, sel.X); obj != nil && !armed[obj] {
 				if sel.Sel.Name == "Read" || sel.Sel.Name == "Write" {
-					a.pass.Reportf(call.Pos(), "%s on net.Conn %s with no deadline armed: a dead peer blocks this goroutine forever and the stall watchdog never fires; call SetDeadline first or route through a deadline-disciplined helper (DESIGN §6)", sel.Sel.Name, obj.Name())
+					a.pass.Reportf(call.Pos(), "%s on net.Conn %s with no deadline armed: a dead peer blocks this goroutine forever and the stall watchdog never fires; call SetDeadline first or route through a deadline-disciplined helper (DESIGN §6)", sel.Sel.Name, types.ExprString(sel.X))
 				}
 			}
 		}
@@ -303,8 +307,8 @@ func (a *analysis) check(fi *funcInfo) {
 			return true
 		}
 		for i, arg := range call.Args {
-			obj := identObj(info, arg)
-			if obj == nil || !isConnRoot(obj) || armed[obj] {
+			obj := connRoot(info, arg)
+			if obj == nil || armed[obj] {
 				continue
 			}
 			if a.calleeDisciplined(call, i) {
@@ -312,26 +316,42 @@ func (a *analysis) check(fi *funcInfo) {
 			}
 			// Arming methods and net.Conn housekeeping on the conn
 			// itself were handled above; this is a bare hand-off.
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && identObj(info, sel.X) == obj {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && connRoot(info, sel.X) == obj {
 				continue
 			}
-			a.pass.Reportf(arg.Pos(), "net.Conn %s passed to %s with no deadline armed and the callee is not deadline-disciplined: arm a deadline first or absorb the conn in the callee (DESIGN §6)", obj.Name(), calleeName(call))
+			a.pass.Reportf(arg.Pos(), "net.Conn %s passed to %s with no deadline armed and the callee is not deadline-disciplined: arm a deadline first or absorb the conn in the callee (DESIGN §6)", types.ExprString(arg), calleeName(call))
 		}
 		return true
 	})
 }
 
-// isConnRoot reports whether obj is a function-scope net.Conn variable
-// (parameter or local).
-func isConnRoot(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() {
-		return false
+// connRoot resolves a conn expression to the function-scope variable
+// whose arming covers it: a bare net.Conn variable, or the []net.Conn
+// variable an element s[i] is taken from. Anything else (fields,
+// package-level conns, a slice passed whole) is not a root.
+func connRoot(info *types.Info, e ast.Expr) types.Object {
+	e = ast.Unparen(e)
+	if ix, ok := e.(*ast.IndexExpr); ok {
+		v, ok := identObj(info, ix.X).(*types.Var)
+		if !ok || !isLocal(v) {
+			return nil
+		}
+		if sl, ok := v.Type().Underlying().(*types.Slice); ok && isNetConn(sl.Elem()) {
+			return v
+		}
+		return nil
 	}
-	if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-		return false // package-level conns are another analyzer's problem
+	v, ok := identObj(info, e).(*types.Var)
+	if !ok || !isLocal(v) || !isNetConn(v.Type()) {
+		return nil
 	}
-	return isNetConn(v.Type())
+	return v
+}
+
+// isLocal reports whether v is a function-scope variable (parameter
+// or local): package-level conns are another analyzer's problem.
+func isLocal(v *types.Var) bool {
+	return !v.IsField() && (v.Pkg() == nil || v.Parent() != v.Pkg().Scope())
 }
 
 func calleeName(call *ast.CallExpr) string {

@@ -94,3 +94,38 @@ func dialAndRead(p []byte) error {
 	_, err = c.Read(p) // want `Read on net.Conn c with no deadline armed`
 	return err
 }
+
+// readElem: an element of a function-scope []net.Conn is checked as
+// its slice variable.
+func readElem(streams []net.Conn, p []byte) (int, error) {
+	return streams[0].Read(p) // want `Read on net.Conn streams\[0\] with no deadline armed`
+}
+
+func passElem(streams []net.Conn) {
+	for i := range streams {
+		sink(streams[i]) // want `net.Conn streams\[i\] passed to sink with no deadline armed`
+	}
+}
+
+// readElemArmed arms one element: arming is per slice variable, and
+// flow-insensitive, so every element counts as armed.
+func readElemArmed(streams []net.Conn, p []byte) (int, error) {
+	streams[0].SetReadDeadline(time.Now().Add(time.Second))
+	return streams[1].Read(p)
+}
+
+// elemHandOffs: a disciplined callee, a wrap and passing the slice
+// whole are not blocking uses of an element.
+func elemHandOffs(p []byte) []net.Conn {
+	streams := make([]net.Conn, 2)
+	pump(streams[0], p)
+	_ = &counted{Conn: streams[1]}
+	return gather(streams, nil)
+}
+
+// readLocalElem: a local slice's elements are roots too.
+func readLocalElem(c net.Conn, p []byte) error {
+	cs := []net.Conn{c}
+	_, err := cs[0].Read(p) // want `Read on net.Conn cs\[0\] with no deadline armed`
+	return err
+}

@@ -54,10 +54,10 @@ type Client struct {
 	// budget.
 	VerifyChecksums bool
 	// BlockSize is the striping unit the server is expected to use; it
-	// sizes each stream's payload buffer, which the socket reads a
-	// block's payload straight into. DefaultBlockSize when zero. A
-	// mismatch is only a performance miss: a larger server block
-	// replaces the payload buffer with one that fits.
+	// sizes each stream's read buffer, which the socket reads whole
+	// blocks straight into. DefaultBlockSize when zero. A mismatch is
+	// only a performance miss: a larger server block replaces the
+	// buffer with one that fits.
 	BlockSize int
 	// StallTimeout arms the per-channel stall watchdog: when requests
 	// are outstanding and no bytes arrive on any of the channel's
@@ -168,13 +168,6 @@ func (c *Client) instruments() *clientInstruments {
 	})
 	return &c.inst
 }
-
-// streamReadBufSize sizes a data stream's read buffer: room for a block
-// header and a short block tail, far below any block. Once its unread
-// bytes are taken, the rest of a payload at least this long bypasses it
-// (bufio reads a request at least as large as its buffer directly), so
-// the buffer never holds a second copy of a block.
-const streamReadBufSize = 4 * 1024
 
 func (c *Client) blockSize() int {
 	if c.BlockSize > 0 {
@@ -516,7 +509,6 @@ func (c *Client) OpenChannel(parallelism int) (*Channel, error) {
 	go ch.controlLoop()
 	for _, s := range ch.streams {
 		ch.wg.Add(1)
-		//lint:allow deadlineio stream conns are progressConn-wrapped; the stall watchdog severs them on progress timeout, unblocking the loop
 		go ch.streamLoop(s)
 	}
 	if c.StallTimeout > 0 {
@@ -581,34 +573,14 @@ func (ch *Channel) streamLoop(conn net.Conn) {
 	// the channel's payload, its duration the stream's useful lifetime.
 	ssp := ch.span.Child(span.NameChannelStream)
 	defer ssp.End()
-	// The read buffer (streamReadBufSize) holds a header and a short
-	// block tail, never a block: past the bytes a header fill read
-	// ahead, ReadFull reads each payload from the socket straight into
-	// buf, so all but at most about 8 KiB per block is copied once in
-	// user space.
-	//lint:allow deadlineio conn is a progressConn counted by the stall watchdog, which closes it when progress stops
-	br := bufio.NewReaderSize(conn, streamReadBufSize)
-	// One payload buffer and one header scratch per stream, owned by
-	// this loop for the connection's lifetime: the steady-state receive
+	// One buffer per stream, owned by this loop for the connection's
+	// lifetime: the frame reader parses every block in it in place, so
+	// the socket's bytes are copied once and the steady-state receive
 	// path never allocates per block.
-	buf := make([]byte, ch.client.blockSize())
-	scratch := make([]byte, blockHeaderSize)
+	fr := frameReader{r: conn, buf: make([]byte, blockHeaderSize+ch.client.blockSize()+frameReadAhead)}
 	for {
-		h, err := readBlockHeaderBuf(br, scratch)
+		h, payload, err := fr.next()
 		if err != nil {
-			ch.failAll(err)
-			return
-		}
-		if h.Length > maxBlockSize {
-			ch.failAll(fmt.Errorf("proto: block of %d bytes above the %d-byte limit", h.Length, maxBlockSize))
-			return
-		}
-		if int(h.Length) > len(buf) {
-			// The server runs a larger block size than expected.
-			buf = make([]byte, h.Length)
-		}
-		payload := buf[:h.Length]
-		if _, err := io.ReadFull(br, payload); err != nil {
 			ch.failAll(err)
 			return
 		}

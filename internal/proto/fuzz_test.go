@@ -3,6 +3,9 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -186,15 +189,96 @@ func FuzzStreamLoop(f *testing.F) {
 		ch.streamLoop(r) // returns once the stream ends or breaks the protocol
 		r.Close()
 		runtime.ReadMemStats(&after)
-		// The first payload buffer is one default block, and the read
-		// buffer streamReadBufSize. A payload buffer is only outgrown
-		// once a block that filled it was read whole from data, so every
-		// buffer but the last sums to at most len(data), and the last
-		// holds at most maxBlockSize. The last MiB is slack for the
-		// runtime.
-		bound := uint64(len(data) + maxBlockSize + DefaultBlockSize + streamReadBufSize + 1<<20)
+		// The first buffer is a header, one default block and the
+		// read-ahead; the last holds at most a header, maxBlockSize and
+		// the read-ahead. A buffer is only outgrown once the frame it
+		// was sized for arrived whole from data, and the read-ahead is
+		// below a block, so every other buffer sums to under
+		// 2*len(data). The last MiB is slack for the runtime.
+		bound := uint64(2*len(data) + 2*(blockHeaderSize+frameReadAhead) + DefaultBlockSize + maxBlockSize + 1<<20)
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > bound {
 			t.Errorf("stream loop allocated %d bytes, bound %d", grown, bound)
+		}
+	})
+}
+
+// readFrameRef is the frame decoder the frame reader must agree with:
+// readBlockHeader, the block size limit, then io.ReadFull for the
+// payload. A stream that ends after a header ends inside its frame.
+func readFrameRef(r io.Reader) (blockHeader, []byte, error) {
+	h, err := readBlockHeader(r)
+	if err != nil {
+		return blockHeader{}, nil, err
+	}
+	if h.Length > maxBlockSize {
+		return blockHeader{}, nil, fmt.Errorf("proto: block of %d bytes above the %d-byte limit", h.Length, maxBlockSize)
+	}
+	payload := make([]byte, h.Length)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return blockHeader{}, nil, err
+	}
+	return h, payload, nil
+}
+
+// FuzzFrameReader reads an arbitrary byte stream through a frame reader
+// whose buffer starts sized for blocks of block bytes, in reads of at
+// most 1+c*c bytes for c cycling through chops (unlimited when chops is
+// empty). It yields the frames, and ends with the error, that
+// readFrameRef yields over the same bytes; it never buffers more than
+// frameReadAhead past the frame it returned; and its buffer never
+// outgrows a header, maxBlockSize and the read-ahead.
+func FuzzFrameReader(f *testing.F) {
+	frame := func(off uint64, n uint32, payload int) []byte {
+		var b bytes.Buffer
+		_ = writeBlockHeader(&b, blockHeader{ReqID: 1, Offset: off, Length: n})
+		b.Write(bytes.Repeat([]byte{0xab}, payload))
+		return b.Bytes()
+	}
+	two := append(frame(0, 3000, 3000), frame(3000, 40, 40)...)
+	f.Add(two, []byte{}, uint16(4096))
+	f.Add(two, []byte{3, 1, 200}, uint16(0))
+	f.Add(append(frame(0, 1024, 1024), frame(1024, 20000, 20000)...), []byte{255, 7}, uint16(1024))
+	f.Add(frame(0, 100, 50), []byte{}, uint16(64))
+	f.Add(frame(0, 100, 0), []byte{2}, uint16(64))
+	f.Add(append(frame(0, 0, 0), frame(0, 8, 8)[:blockHeaderSize/2]...), []byte{}, uint16(64))
+	f.Add(frame(0, maxBlockSize+1, 0), []byte{}, uint16(64))
+	f.Add([]byte("not a block header"), []byte{}, uint16(64))
+	f.Fuzz(func(t *testing.T, data, chops []byte, block uint16) {
+		conn := &chopConn{data: data}
+		if len(chops) > 0 {
+			i := 0
+			conn.chop = func(int) int {
+				c := int(chops[i%len(chops)])
+				i++
+				return 1 + c*c
+			}
+		}
+		fr := frameReader{r: conn, buf: make([]byte, blockHeaderSize+int(block)+frameReadAhead)}
+		ref := bytes.NewReader(data)
+		for k := 0; ; k++ {
+			wantH, wantP, wantErr := readFrameRef(ref)
+			h, p, err := fr.next()
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("frame %d: error %v, reference %v", k, err, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			if h != wantH || !bytes.Equal(p, wantP) {
+				t.Fatalf("frame %d: %+v with %d payload bytes, reference %+v with %d", k, h, len(p), wantH, len(wantP))
+			}
+			if cap(p) != len(p) {
+				t.Fatalf("frame %d: payload of %d bytes reaches %d past its end", k, len(p), cap(p)-len(p))
+			}
+			if ahead := fr.hi - fr.lo; ahead > frameReadAhead {
+				t.Fatalf("frame %d: %d bytes read past it, read-ahead %d", k, ahead, frameReadAhead)
+			}
+			if max := blockHeaderSize + maxBlockSize + frameReadAhead; len(fr.buf) > max {
+				t.Fatalf("frame %d: buffer of %d bytes, bound %d", k, len(fr.buf), max)
+			}
 		}
 	})
 }

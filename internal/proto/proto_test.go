@@ -41,6 +41,25 @@ func synthServer(t *testing.T, ds dataset.Dataset, mutate func(*ServerConfig)) *
 	return startServer(t, cfg)
 }
 
+// writeBlockHeader frames h for a test stream.
+func writeBlockHeader(w io.Writer, h blockHeader) error {
+	var buf [blockHeaderSize]byte
+	encodeBlockHeader(buf[:], h)
+	_, err := w.Write(buf[:])
+	return err
+}
+
+// readBlockHeader reads and decodes one header from r: with
+// io.ReadFull for the payload, the reference the frame reader is fuzzed
+// against (FuzzFrameReader).
+func readBlockHeader(r io.Reader) (blockHeader, error) {
+	var buf [blockHeaderSize]byte
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return blockHeader{}, err
+	}
+	return decodeBlockHeader(buf[:])
+}
+
 func TestBlockHeaderRoundTrip(t *testing.T) {
 	f := func(id uint32, off uint64, length uint32) bool {
 		var buf bytes.Buffer

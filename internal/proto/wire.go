@@ -92,27 +92,88 @@ func decodeBlockHeader(buf []byte) (blockHeader, error) {
 	}, nil
 }
 
-func writeBlockHeader(w io.Writer, h blockHeader) error {
-	var buf [blockHeaderSize]byte
-	encodeBlockHeader(buf[:], h)
-	_, err := w.Write(buf[:])
-	return err
+// frameReadAhead bounds how far past the end of the frame being parsed
+// a data stream's read may reach. It lets one read take a block with
+// the next header, or a run of short blocks, while the copy to the
+// buffer's front when the buffer runs out stays this small: reading to
+// the buffer's end instead would move most of a block whenever a short
+// block comes before a full one. A header less than 16 KiB, it makes a
+// buffer for a block of whole pages whole pages too, so the allocator
+// rounds nothing up.
+const frameReadAhead = 16*1024 - blockHeaderSize
+
+// frameReader parses block frames in place from one buffer. Reads from
+// r land in the buffer's free tail and next hands out each payload as a
+// slice of the buffer, so a payload byte is copied once, from the
+// socket. Every read stops at most frameReadAhead past the end of the
+// frame being parsed, so at most that many bytes are ever buffered
+// ahead, and only they move to the front when the buffer runs out.
+type frameReader struct {
+	r      io.Reader
+	buf    []byte
+	lo, hi int // buf[lo:hi] is read and not yet parsed
 }
 
-func readBlockHeader(r io.Reader) (blockHeader, error) {
-	var buf [blockHeaderSize]byte
-	return readBlockHeaderBuf(r, buf[:])
-}
-
-// readBlockHeaderBuf is readBlockHeader with caller-owned scratch.
-// Hot loops reuse one scratch slice per goroutine so the header does
-// not escape to the heap on every block.
-func readBlockHeaderBuf(r io.Reader, scratch []byte) (blockHeader, error) {
-	scratch = scratch[:blockHeaderSize]
-	if _, err := io.ReadFull(r, scratch); err != nil {
-		return blockHeader{}, err
+// next returns the next frame's header and payload. The payload is a
+// slice of the reader's buffer, valid until the following call. A
+// stream that ends at a frame boundary yields io.EOF, one that ends
+// inside a frame io.ErrUnexpectedEOF.
+func (fr *frameReader) next() (blockHeader, []byte, error) {
+	if err := fr.fill(blockHeaderSize); err != nil {
+		return blockHeader{}, nil, err
 	}
-	return decodeBlockHeader(scratch)
+	h, err := decodeBlockHeader(fr.buf[fr.lo:])
+	if err != nil {
+		return blockHeader{}, nil, err
+	}
+	// Checked before fill grows the buffer to what Length asks for.
+	if h.Length > maxBlockSize {
+		return blockHeader{}, nil, fmt.Errorf("proto: block of %d bytes above the %d-byte limit", h.Length, maxBlockSize)
+	}
+	n := blockHeaderSize + int(h.Length)
+	if err := fr.fill(n); err != nil {
+		return blockHeader{}, nil, err
+	}
+	frame := fr.buf[fr.lo : fr.lo+n : fr.lo+n]
+	fr.lo += n
+	return h, frame[blockHeaderSize:], nil
+}
+
+// fill reads until buf[lo:hi] holds n bytes. When the buffer's tail
+// has no room for them and the read-ahead, the buffered bytes move to
+// the front first, into a larger buffer if n and the read-ahead
+// outgrow it. A stream that ends before any byte of the n yields
+// io.EOF, one that ends after some io.ErrUnexpectedEOF.
+func (fr *frameReader) fill(n int) error {
+	if fr.hi-fr.lo >= n {
+		return nil
+	}
+	if fr.lo+n+frameReadAhead > len(fr.buf) {
+		buf := fr.buf
+		if n+frameReadAhead > len(buf) {
+			buf = make([]byte, n+frameReadAhead)
+		}
+		fr.hi = copy(buf, fr.buf[fr.lo:fr.hi])
+		fr.lo, fr.buf = 0, buf
+	}
+	// A frame longer than the read-ahead makes a long read already:
+	// reading past its end more than the next header would only add
+	// bytes that a next frame as long moves to the front again.
+	limit := fr.lo + n + frameReadAhead
+	if n > frameReadAhead {
+		limit = fr.lo + n + blockHeaderSize
+	}
+	for fr.hi-fr.lo < n {
+		m, err := fr.r.Read(fr.buf[fr.hi:limit])
+		fr.hi += m
+		if err != nil && fr.hi-fr.lo < n {
+			if errors.Is(err, io.EOF) && fr.hi > fr.lo {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // getRequest is a parsed GET command.
