@@ -110,7 +110,7 @@ func run(o options) (err error) {
 	case o.out != "":
 		ds := proto.NewDirSink(o.out)
 		// The journal resumes the destination, so file bytes must be
-		// durable before a partial marker is lifted (DESIGN §12.3).
+		// durable before Close trims the in-flight length mark (DESIGN §12.3).
 		ds.SyncOnClose = true
 		sink = ds
 	case o.algo == "sweep":

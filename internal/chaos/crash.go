@@ -13,8 +13,8 @@ import (
 // REAL process (SIGKILL — no deferred cleanup, no flushes) at a
 // scripted point in its transfer, so crash-recovery tests exercise the
 // same artifacts a production crash leaves behind: a preallocated
-// destination full of holes, a receipt journal cut mid-batch, partial
-// markers that outlive their writer. The child process cooperates only
+// destination full of holes, a receipt journal cut mid-batch, files
+// still marked in flight by their length. The child process cooperates only
 // by printing progress lines; everything else is physics.
 
 // ProgressPrefix is the stdout line prefix a crash-harness child uses

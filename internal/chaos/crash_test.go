@@ -230,7 +230,10 @@ func runCrashChild(t *testing.T, addr, dest string, killAt int64) chaos.CrashRes
 	return res
 }
 
-func noLeftoverMarkers(t *testing.T, dest string) {
+// noLeftoverMarkers checks that a complete delivery left nothing marked
+// in flight: no legacy marker file, and every destination file exactly
+// its source size (a file in flight is one byte longer).
+func noLeftoverMarkers(t *testing.T, dest string, ds dataset.Dataset) {
 	t.Helper()
 	err := filepath.WalkDir(dest, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -243,6 +246,14 @@ func noLeftoverMarkers(t *testing.T, dest string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range ds.Files {
+		info, err := os.Stat(filepath.Join(dest, filepath.FromSlash(f.Name)))
+		if err != nil {
+			t.Errorf("%s: %v", f.Name, err)
+		} else if units.Bytes(info.Size()) != f.Size {
+			t.Errorf("%s is %d bytes after a complete delivery, source %d: still marked in flight", f.Name, info.Size(), f.Size)
+		}
 	}
 }
 
@@ -295,7 +306,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 		t.Errorf("final cycle: planned refetch did not strictly decrease: %d -> %d", prev.refetch, p.refetch)
 	}
 	assertContent(t, dest, ds)
-	noLeftoverMarkers(t, dest)
+	noLeftoverMarkers(t, dest, ds)
 	if _, err := os.Stat(filepath.Join(dest, proto.JournalFileName)); !os.IsNotExist(err) {
 		t.Errorf("receipt journal survived a proven-complete delivery (stat err: %v)", err)
 	}
@@ -334,5 +345,5 @@ func TestCrashRecoveryTornJournalTail(t *testing.T) {
 		t.Errorf("resume did not report the torn journal tail: %+v", p)
 	}
 	assertContent(t, dest, ds)
-	noLeftoverMarkers(t, dest)
+	noLeftoverMarkers(t, dest, ds)
 }

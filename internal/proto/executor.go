@@ -41,7 +41,7 @@ type Executor struct {
 	// Resume, when set, makes the session fetch exactly the plan's
 	// per-file ranges (from PlanResume), skipping files the plan holds no
 	// entry for. A file split across several gap ranges is finalized —
-	// Sink.Close, marker lift, files counter — only when its LAST range
+	// Sink.Close, length-mark lift, files counter — only when its LAST range
 	// settles.
 	Resume *RecoveryPlan
 	// MaxRetries is how many times a range is re-attempted after a
@@ -563,7 +563,7 @@ func (s *realSession) runWorker(w *realWorker) {
 			return onFailure(err, f.q)
 		}
 		// Finalize the file only when its LAST planned range settled:
-		// closing earlier would lift the partial marker (and bump the
+		// closing earlier would lift the length mark (and bump the
 		// files counters) while sibling gap ranges are still in flight.
 		if s.fileSettled(f.p.name) {
 			if err := s.exec.Sink.Close(f.p.name); err != nil {

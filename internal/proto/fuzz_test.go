@@ -5,11 +5,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/didclab/eta/internal/dataset"
+	"github.com/didclab/eta/internal/units"
 )
 
 // The fuzz targets double as robustness tests on their seed corpora
@@ -223,13 +230,19 @@ func readFrameRef(r io.Reader) (blockHeader, []byte, error) {
 	return h, payload, nil
 }
 
-// FuzzFrameReader reads an arbitrary byte stream through a frame reader
-// whose buffer starts sized for blocks of block bytes, in reads of at
-// most 1+c*c bytes for c cycling through chops (unlimited when chops is
-// empty). It yields the frames, and ends with the error, that
-// readFrameRef yields over the same bytes; it never buffers more than
-// frameReadAhead past the frame it returned; and its buffer never
-// outgrows a header, maxBlockSize and the read-ahead.
+// FuzzFrameReader reads an arbitrary byte stream — data, then tail
+// bytes of 0xab — through a frame reader whose buffer starts sized for
+// blocks of block bytes, in reads of at most 1+c*c bytes for c drawn
+// from 0-255 by a PRNG seeded with chops (unlimited when chops is 0).
+// It yields the frames, and ends with the error, that readFrameRef
+// yields over the same bytes; it never buffers more than frameReadAhead
+// past the frame it returned; and its buffer never outgrows a header,
+// maxBlockSize and the read-ahead.
+//
+// The tail lets a few header bytes carry frames past the read-ahead,
+// and keeps the seeds short: the fuzzer minimises every new input byte
+// by byte, in time quadratic in its length, and a multi-KiB input
+// stalls it for its whole budget.
 func FuzzFrameReader(f *testing.F) {
 	frame := func(off uint64, n uint32, payload int) []byte {
 		var b bytes.Buffer
@@ -237,22 +250,27 @@ func FuzzFrameReader(f *testing.F) {
 		b.Write(bytes.Repeat([]byte{0xab}, payload))
 		return b.Bytes()
 	}
-	two := append(frame(0, 3000, 3000), frame(3000, 40, 40)...)
-	f.Add(two, []byte{}, uint16(4096))
-	f.Add(two, []byte{3, 1, 200}, uint16(0))
-	f.Add(append(frame(0, 1024, 1024), frame(1024, 20000, 20000)...), []byte{255, 7}, uint16(1024))
-	f.Add(frame(0, 100, 50), []byte{}, uint16(64))
-	f.Add(frame(0, 100, 0), []byte{2}, uint16(64))
-	f.Add(append(frame(0, 0, 0), frame(0, 8, 8)[:blockHeaderSize/2]...), []byte{}, uint16(64))
-	f.Add(frame(0, maxBlockSize+1, 0), []byte{}, uint16(64))
-	f.Add([]byte("not a block header"), []byte{}, uint16(64))
-	f.Fuzz(func(t *testing.T, data, chops []byte, block uint16) {
+	two := append(frame(0, 30, 30), frame(30, 40, 40)...)
+	f.Add(two, uint16(0), uint64(0), uint16(4096))
+	f.Add(two, uint16(0), uint64(3), uint16(0))
+	f.Add(append(frame(0, 100, 100), frame(100, 20000, 0)...), uint16(20000), uint64(255), uint16(1024))
+	f.Add(frame(0, 100, 50), uint16(0), uint64(0), uint16(64))
+	f.Add(frame(0, 100, 0), uint16(0), uint64(2), uint16(64))
+	f.Add(append(frame(0, 0, 0), frame(0, 8, 8)[:blockHeaderSize/2]...), uint16(0), uint64(0), uint16(64))
+	f.Add(frame(0, maxBlockSize+1, 0), uint16(0), uint64(0), uint16(64))
+	f.Add([]byte("not a block header"), uint16(0), uint64(0), uint16(64))
+	f.Fuzz(func(t *testing.T, data []byte, tail uint16, chops uint64, block uint16) {
+		data = append(data, bytes.Repeat([]byte{0xab}, int(tail))...)
 		conn := &chopConn{data: data}
-		if len(chops) > 0 {
-			i := 0
+		if chops != 0 {
+			// splitmix64: every seed gives a full-period sequence, so
+			// the fuzzer steers read sizes through one fixed-size word.
+			x := chops
 			conn.chop = func(int) int {
-				c := int(chops[i%len(chops)])
-				i++
+				x += 0x9e3779b97f4a7c15
+				z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+				z = (z ^ z>>27) * 0x94d049bb133111eb
+				c := int((z ^ z>>31) & 0xff)
 				return 1 + c*c
 			}
 		}
@@ -279,6 +297,189 @@ func FuzzFrameReader(f *testing.F) {
 			if max := blockHeaderSize + maxBlockSize + frameReadAhead; len(fr.buf) > max {
 				t.Fatalf("frame %d: buffer of %d bytes, bound %d", k, len(fr.buf), max)
 			}
+		}
+	})
+}
+
+// FuzzPlanResume plans a resume over a small destination that spec
+// describes, four bytes per file (at most eight files):
+//   - size: the source size, in units of 8 bytes;
+//   - shape: bits 0-2 pick the destination length (missing, shorter,
+//     equal, marked at size+1, or longer by 2+ bytes), bits 3-6 scale
+//     it, and bit 7 leaves a legacy marker file beside it;
+//   - blocks: bits 0-1 split the file into 1-4 spans, and bits 2-5
+//     journal a receipt for each span;
+//   - content: bits 0-3 give a span's receipt a wrong CRC, and bits 4-7
+//     leave a span's bytes on disk (a hole otherwise).
+//
+// A non-zero tear cuts the journal's tail by tear mod its length, and
+// bit 15 garbles the last byte left. The plan must partition the
+// source bytes, verify exactly the spans whose surviving receipt
+// re-hashes against the disk, plan no range over a verified span, and
+// skip no file unless it is left at exactly its source size.
+func FuzzPlanResume(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{125, 3, 0x3f, 0xf0}, uint16(0))
+	f.Add([]byte{125, 3, 0x3f, 0xf2, 64, 4, 0x07, 0x00}, uint16(0))
+	f.Add([]byte{200, 0x82, 0x1e, 0xa0, 10, 2, 0, 0, 0, 4, 0, 0}, uint16(7))
+	f.Add([]byte{90, 0x21, 0x3d, 0x50, 33, 0x80, 0x3c, 0xf0, 12, 0x1f, 0x01, 0x10}, uint16(0x8021))
+	f.Fuzz(func(t *testing.T, spec []byte, tear uint16) {
+		root := t.TempDir()
+		jp := filepath.Join(root, JournalFileName)
+		// One window for the whole journal: a single fsync, at Close.
+		j, err := OpenJournal(jp, JournalOptions{FsyncInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type destFile struct {
+			dataset.File
+			disk   []byte // the destination file; nil when missing
+			marker bool
+		}
+		var dest []destFile
+		var total units.Bytes
+		for i := 0; i+4 <= len(spec) && len(dest) < 8; i += 4 {
+			size, shape, blocks, content := int64(spec[i])*8, spec[i+1], spec[i+2], spec[i+3]
+			df := destFile{File: dataset.File{Name: fmt.Sprintf("d%d/f%d", len(dest)%2, len(dest)), Size: units.Bytes(size)}}
+			total += df.Size
+			want := make([]byte, size)
+			FillSynth(df.Name, 0, want)
+			disk := make([]byte, size+64)
+			spans := int64(blocks&3) + 1
+			for k := int64(0); k < spans; k++ {
+				lo, hi := size*k/spans, size*(k+1)/spans
+				if content&(0x10<<k) != 0 {
+					copy(disk[lo:hi], want[lo:hi])
+				}
+				if blocks&(4<<k) != 0 && hi > lo {
+					crc := crc32.Checksum(want[lo:hi], crcTable)
+					if content&(1<<k) != 0 {
+						crc = ^crc
+					}
+					j.Append(df.Name, lo, hi-lo, crc)
+				}
+			}
+			scale := int64(shape>>3) & 15
+			switch shape & 7 {
+			case 0:
+				disk = nil
+			case 1:
+				disk = disk[:size*scale/16]
+			case 2:
+				disk = disk[:size]
+			case 3, 5, 6, 7:
+				disk = disk[:size+1]
+			case 4:
+				disk = disk[:size+2+scale]
+			}
+			df.disk, df.marker = disk, shape&0x80 != 0
+			path := filepath.Join(root, filepath.FromSlash(df.Name))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if disk != nil {
+				if err := os.WriteFile(path, disk, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if df.marker {
+				if err := os.WriteFile(path+PartialMarkerSuffix, nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dest = append(dest, df)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if tear != 0 {
+			jb, err := os.ReadFile(jp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb = jb[:len(jb)-int(tear&0x7fff)%len(jb)]
+			if tear&0x8000 != 0 && len(jb) > 0 {
+				jb[len(jb)-1] ^= 0xff
+			}
+			if err := os.WriteFile(jp, jb, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The receipts that survived the tear, checked against the disk
+		// the way a resume must check them.
+		kept, _, err := ReadJournal(jp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make([]dataset.File, len(dest))
+		for i, df := range dest {
+			files[i] = df.File
+		}
+		plan, err := PlanResume(root, files, ResumeOptions{JournalPath: jp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Skipped+plan.Verified+plan.Refetch != total {
+			t.Fatalf("skipped %d + verified %d + refetch %d != %d", plan.Skipped, plan.Verified, plan.Refetch, total)
+		}
+		var verified units.Bytes
+		for _, df := range dest {
+			size := int64(df.Size)
+			recovered := df.disk != nil && (df.marker || int64(len(df.disk)) > size)
+			// good marks the bytes a surviving receipt proves present.
+			good := make([]bool, size)
+			proven := int64(0)
+			if recovered {
+				for _, r := range kept {
+					if r.Name != df.Name || r.Off+r.N > size || r.Off+r.N > int64(len(df.disk)) ||
+						crc32.Checksum(df.disk[r.Off:r.Off+r.N], crcTable) != r.CRC {
+						continue
+					}
+					for b := r.Off; b < r.Off+r.N; b++ {
+						if !good[b] {
+							good[b] = true
+							proven++
+						}
+					}
+				}
+				verified += units.Bytes(proven)
+			}
+			ranges, planned := plan.ByFile[df.Name]
+			end := int64(-1)
+			for _, r := range ranges {
+				lo, hi := int64(r.Offset), int64(r.Offset+r.Remaining())
+				if lo <= end || (hi == lo && size > 0) {
+					t.Errorf("%s: range %+v overlaps or follows an earlier one, or is empty", df.Name, r)
+				}
+				end = hi - 1
+				for b := lo; b < hi; b++ {
+					if good[b] {
+						t.Fatalf("%s: range [%d,%d) refetches verified byte %d", df.Name, lo, hi, b)
+					}
+				}
+			}
+			path := filepath.Join(root, filepath.FromSlash(df.Name))
+			if _, err := os.Stat(path + PartialMarkerSuffix); !os.IsNotExist(err) {
+				t.Errorf("%s: legacy marker left after planning (stat err: %v)", df.Name, err)
+			}
+			info, err := os.Stat(path)
+			switch {
+			case !planned:
+				if err != nil || info.Size() != size {
+					t.Errorf("%s skipped, but it is not %d bytes (stat err %v)", df.Name, size, err)
+				}
+				if !(df.disk != nil && !recovered && int64(len(df.disk)) == size) && !(recovered && proven == size) {
+					t.Errorf("%s skipped with %d of %d bytes proven (length %d, marker %v)", df.Name, proven, size, len(df.disk), df.marker)
+				}
+			case recovered:
+				// Gaps left: the file must stay marked in flight.
+				if err != nil || info.Size() <= size {
+					t.Errorf("%s has gaps left but is no longer marked (stat err %v)", df.Name, err)
+				}
+			}
+		}
+		if plan.Verified != verified {
+			t.Fatalf("plan verified %d bytes, the surviving receipts prove %d", plan.Verified, verified)
 		}
 	})
 }

@@ -17,8 +17,8 @@ import (
 
 // Write-ahead receipt journal. Preallocation (store.go) makes an
 // interrupted destination file's length lie — holes can hide anywhere —
-// so without extra state the only sound resume of a marked file is a
-// whole refetch. The journal is that extra state: an append-only log of
+// so without extra state the only sound resume of a file marked in
+// flight (one byte longer than its source) is a whole refetch. The journal is that extra state: an append-only log of
 // CRC-verified block receipts, one record per block the client wrote to
 // its sink, durable independently of the destination files. On resume,
 // PlanResume (resume.go) replays the journal and re-verifies each

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -324,6 +325,191 @@ func TestPlanResumeMarkedWithoutJournalRefetchesWhole(t *testing.T) {
 	// verify against the only sound plan is a whole refetch.
 	if plan.Verified != 0 || plan.Refetch != f.Size || len(plan.Ranges) != 1 {
 		t.Errorf("marked file without journal: %+v", plan)
+	}
+}
+
+// markInFlight is markPartial as DirSink now leaves a file in flight:
+// one byte longer than its source, with no marker file beside it.
+func markInFlight(t *testing.T, root string, f dataset.File, spans [][2]int64) []uint32 {
+	t.Helper()
+	crcs := markPartial(t, root, f, spans)
+	path := filepath.Join(root, filepath.FromSlash(f.Name))
+	if err := os.Truncate(path, int64(f.Size)+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path + PartialMarkerSuffix); err != nil {
+		t.Fatal(err)
+	}
+	return crcs
+}
+
+// journalSpans writes one receipt per span into a fresh journal under
+// root and returns its path.
+func journalSpans(t *testing.T, root string, f dataset.File, spans [][2]int64, crcs []uint32) string {
+	t.Helper()
+	jp := filepath.Join(root, JournalFileName)
+	j, err := OpenJournal(jp, JournalOptions{FsyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range spans {
+		j.Append(f.Name, s[0], s[1], crcs[i])
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return jp
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+func TestPlanResumeVerifiesLengthMarkedFile(t *testing.T) {
+	root := t.TempDir()
+	f := dataset.File{Name: "d/marked.dat", Size: 700}
+	spans := [][2]int64{{0, 400}, {400, 300}}
+	jp := journalSpans(t, root, f, spans, markInFlight(t, root, f, spans))
+	plan, err := PlanResume(root, []dataset.File{f}, ResumeOptions{JournalPath: jp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlanPartition(t, plan, f.Size)
+	if len(plan.Ranges) != 0 || plan.Verified != f.Size {
+		t.Errorf("fully journaled length-marked file still plans work: %+v", plan)
+	}
+	if n := fileSize(t, filepath.Join(root, "d", "marked.dat")); n != int64(f.Size) {
+		t.Errorf("verified file is %d bytes, want it trimmed to %d", n, f.Size)
+	}
+}
+
+func TestPlanResumeLengthMarkedWithoutJournalRefetchesWhole(t *testing.T) {
+	root := t.TempDir()
+	f := dataset.File{Name: "marked.dat", Size: 700}
+	markInFlight(t, root, f, [][2]int64{{0, 700}})
+	plan, err := PlanResume(root, []dataset.File{f}, ResumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlanPartition(t, plan, f.Size)
+	if plan.Skipped != 0 || plan.Refetch != f.Size || len(plan.Ranges) != 1 || plan.Ranges[0].Offset != 0 {
+		t.Errorf("length-marked file without journal: %+v", plan)
+	}
+	// The mark stays until the refetch closes the file.
+	if n := fileSize(t, filepath.Join(root, f.Name)); n != int64(f.Size)+1 {
+		t.Errorf("file is %d bytes after planning, want the mark kept (%d)", n, f.Size+1)
+	}
+}
+
+// A file longer than its source by more than the mark, left by some
+// other writer, holds the wrong bytes: it is refetched, not skipped.
+func TestPlanResumeRefetchesFileLongerThanSource(t *testing.T) {
+	root := t.TempDir()
+	f := dataset.File{Name: "stale.dat", Size: 500}
+	if err := os.WriteFile(filepath.Join(root, f.Name), make([]byte, 900), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanResume(root, []dataset.File{f}, ResumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlanPartition(t, plan, f.Size)
+	if plan.Skipped != 0 || plan.Refetch != f.Size || len(plan.Ranges) != 1 {
+		t.Errorf("longer-than-source file: %+v, want a whole refetch", plan)
+	}
+}
+
+// A marker file left by an earlier build still marks its file. With
+// gaps left, PlanResume sets the length mark, then removes the marker,
+// so the file stays marked across a crash in between or after.
+func TestPlanResumeConvertsLegacyMarker(t *testing.T) {
+	root := t.TempDir()
+	f := dataset.File{Name: "legacy.dat", Size: 1000}
+	spans := [][2]int64{{0, 600}}
+	jp := journalSpans(t, root, f, spans, markPartial(t, root, f, spans))
+	path := filepath.Join(root, f.Name)
+	for pass := range 2 {
+		plan, err := PlanResume(root, []dataset.File{f}, ResumeOptions{JournalPath: jp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPlanPartition(t, plan, f.Size)
+		if plan.Verified != 600 || plan.Refetch != 400 || len(plan.Ranges) != 1 || plan.Ranges[0].Offset != 600 {
+			t.Errorf("pass %d: plan %+v, want [600,EOF) refetched and 600 bytes verified", pass, plan)
+		}
+		if _, err := os.Stat(path + PartialMarkerSuffix); !os.IsNotExist(err) {
+			t.Errorf("pass %d: legacy marker not removed (stat err: %v)", pass, err)
+		}
+		if n := fileSize(t, path); n != int64(f.Size)+1 {
+			t.Errorf("pass %d: file is %d bytes, want the length mark (%d)", pass, n, f.Size+1)
+		}
+	}
+}
+
+// A marker file whose data file never appeared refetches the file whole
+// and goes.
+func TestPlanResumeRemovesOrphanLegacyMarker(t *testing.T) {
+	root := t.TempDir()
+	f := dataset.File{Name: "gone.dat", Size: 300}
+	marker := filepath.Join(root, f.Name+PartialMarkerSuffix)
+	if err := os.WriteFile(marker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanResume(root, []dataset.File{f}, ResumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlanPartition(t, plan, f.Size)
+	if plan.Refetch != f.Size || len(plan.Ranges) != 1 {
+		t.Errorf("orphan marker: %+v, want a whole refetch", plan)
+	}
+	if _, err := os.Stat(marker); !os.IsNotExist(err) {
+		t.Errorf("orphan marker not removed (stat err: %v)", err)
+	}
+}
+
+// A zero-byte source whose destination file is longer ends empty after
+// one resume and fetch. A zero-length GET never preallocates and the
+// executor issues none, so PlanResume trims the file itself: a file with
+// no bytes has none left to verify.
+func TestResumeTrimsZeroByteFileLongerThanSource(t *testing.T) {
+	ds := dataset.Dataset{Files: []dataset.File{{Name: "empty.dat", Size: 0}, {Name: "full.dat", Size: 2000}}}
+	srv := synthServer(t, ds, nil)
+	dst := t.TempDir()
+	path := filepath.Join(dst, "empty.dat")
+	if err := os.WriteFile(path, make([]byte, 5), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanResume(dst, ds.Files, ResumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlanPartition(t, plan, ds.TotalSize())
+	if _, ok := plan.ByFile["empty.dat"]; ok {
+		t.Errorf("plan %+v fetches the overlong empty file", plan)
+	}
+	exec := &Executor{
+		Client:      &Client{Addr: srv.Addr(), VerifyChecksums: true},
+		Sink:        NewDirSink(dst),
+		Environment: testEnv(),
+		Resume:      plan,
+	}
+	if _, err := exec.Run(context.Background(), planFor(ds, 1, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if n := fileSize(t, path); n != 0 {
+		t.Errorf("empty.dat is %d bytes after the fetch, want 0", n)
+	}
+	if n := fileSize(t, filepath.Join(dst, "full.dat")); n != 2000 {
+		t.Errorf("full.dat is %d bytes after the fetch, want 2000", n)
+	}
+	if plan, err := PlanResume(dst, ds.Files, ResumeOptions{}); err != nil || len(plan.Ranges) != 0 {
+		t.Errorf("second plan %+v (err %v), want nothing left", plan, err)
 	}
 }
 

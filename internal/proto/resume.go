@@ -46,8 +46,8 @@ func WholeFiles(files []dataset.File) []FileRange {
 // ResumeOptions configures PlanResume.
 type ResumeOptions struct {
 	// JournalPath points at the destination's block-receipt journal;
-	// empty disables journal-verified recovery (marked files refetch
-	// whole, the pre-journal behavior).
+	// empty disables journal-verified recovery (files marked in flight
+	// refetch whole, the pre-journal behavior).
 	JournalPath string
 	// Metrics receives journal_recovered_bytes/recovery_refetch_bytes;
 	// optional.
@@ -64,10 +64,11 @@ type RecoveryPlan struct {
 	// with no entry is already complete at the destination.
 	ByFile map[string][]FileRange
 	// Skipped counts bytes trusted without the journal: complete files
-	// and the length-implied prefixes of unmarked partial files.
+	// and the length-implied prefixes of shorter files.
 	Skipped units.Bytes
-	// Verified counts bytes of marked files proven present by replaying
-	// the journal and re-hashing the destination ranges it claims.
+	// Verified counts bytes of files marked in flight proven present by
+	// replaying the journal and re-hashing the destination ranges it
+	// claims.
 	Verified units.Bytes
 	// Refetch counts the bytes the plan will move. Skipped + Verified +
 	// Refetch always equals the dataset's total size.
@@ -79,15 +80,18 @@ type RecoveryPlan struct {
 }
 
 // PlanResume inspects a DirSink destination tree and plans the minimal
-// transfer completing it. Files already at full size are skipped,
-// unmarked partial files resume from their current length, and missing
-// files fetch whole. Files carrying the partial marker — preallocated,
-// so their length lies — are recovered through the receipt journal:
-// every journaled range is re-read from disk and re-hashed, the verified
-// ranges are kept, and only the gaps are planned for refetch. Nothing
-// the journal claims is trusted without matching bytes on disk, so a
-// lying, stale, or torn journal degrades to refetching more, never to
-// corruption. Without a journal a marked file refetches whole.
+// transfer completing it. Files at exactly their size are skipped,
+// shorter files resume from their current length, and missing files
+// fetch whole. A file longer than its source — DirSink marks a file in
+// flight at size+1, and a leftover marker file from an earlier build
+// means the same — has a length that lies, so it is recovered through
+// the receipt journal: every journaled range is re-read from disk and
+// re-hashed, the verified ranges are kept, and only the gaps are
+// planned for refetch. Nothing the journal claims is trusted without
+// matching bytes on disk, so a lying, stale, or torn journal degrades
+// to refetching more, never to corruption. Without a journal such a
+// file refetches whole. A fully verified file is trimmed to its size; a
+// leftover marker is replaced by the length mark, then removed.
 func PlanResume(root string, files []dataset.File, opt ResumeOptions) (*RecoveryPlan, error) {
 	receipts, torn, err := loadReceipts(opt.JournalPath)
 	if err != nil {
@@ -99,46 +103,55 @@ func PlanResume(root string, files []dataset.File, opt ResumeOptions) (*Recovery
 		if err != nil {
 			return nil, err
 		}
-		if _, err := os.Stat(path + PartialMarkerSuffix); err == nil {
-			// Preallocated but unfinished: the length lies. Recover what
-			// the journal can prove, refetch the gaps.
-			verified, gaps := recoverMarked(path, f, receipts[f.Name])
-			plan.Verified += verified
-			if len(gaps) == 0 {
-				// Every byte re-hashed clean: the file is complete, the
-				// marker just outlived the crash. Lift it.
-				if err := os.Remove(path + PartialMarkerSuffix); err != nil && !os.IsNotExist(err) {
-					return nil, err
-				}
-				continue
-			}
-			for _, g := range gaps {
-				plan.Refetch += g.Remaining()
-			}
-			plan.ByFile[f.Name] = gaps
-			plan.Ranges = append(plan.Ranges, gaps...)
-			continue
-		}
+		marker := path + PartialMarkerSuffix
+		_, err = os.Stat(marker)
+		legacy := err == nil
 		info, err := os.Stat(path)
-		switch {
-		case err == nil && units.Bytes(info.Size()) >= f.Size:
-			plan.Skipped += f.Size
-			continue
-		case err == nil:
-			have := units.Bytes(info.Size())
-			plan.Skipped += have
-			r := FileRange{File: f, Offset: have}
-			plan.Refetch += r.Remaining()
-			plan.ByFile[f.Name] = []FileRange{r}
-			plan.Ranges = append(plan.Ranges, r)
-		case os.IsNotExist(err):
-			r := FileRange{File: f}
-			plan.Refetch += r.Remaining()
-			plan.ByFile[f.Name] = []FileRange{r}
-			plan.Ranges = append(plan.Ranges, r)
-		default:
+		missing := os.IsNotExist(err)
+		if err != nil && !missing {
 			return nil, err
 		}
+		var ranges []FileRange
+		switch {
+		case missing:
+			ranges = []FileRange{{File: f}}
+		case legacy || units.Bytes(info.Size()) > f.Size:
+			// In flight when the transfer stopped: the length lies.
+			// Recover what the journal can prove, refetch the gaps.
+			verified, gaps := recoverMarked(path, f, receipts[f.Name])
+			plan.Verified += verified
+			// Every byte re-hashed clean: the file is complete, and the
+			// mark just outlived the crash, so lift it. A legacy marker
+			// with gaps left becomes the length mark before it goes.
+			if len(gaps) == 0 {
+				err = os.Truncate(path, int64(f.Size))
+			} else if legacy {
+				err = os.Truncate(path, int64(f.Size)+1)
+			}
+			if err != nil {
+				return nil, err
+			}
+			ranges = gaps
+		case units.Bytes(info.Size()) == f.Size:
+			plan.Skipped += f.Size
+		default:
+			have := units.Bytes(info.Size())
+			plan.Skipped += have
+			ranges = []FileRange{{File: f, Offset: have}}
+		}
+		if legacy {
+			if err := os.Remove(marker); err != nil && !os.IsNotExist(err) {
+				return nil, err
+			}
+		}
+		if len(ranges) == 0 {
+			continue
+		}
+		for _, r := range ranges {
+			plan.Refetch += r.Remaining()
+		}
+		plan.ByFile[f.Name] = ranges
+		plan.Ranges = append(plan.Ranges, ranges...)
 	}
 	opt.Metrics.Counter("journal_recovered_bytes").Add(int64(plan.Verified))
 	opt.Metrics.Counter("recovery_refetch_bytes").Add(int64(plan.Refetch))
@@ -194,6 +207,9 @@ func loadReceipts(path string) (map[string][]Receipt, bool, error) {
 // or hashes differently is simply not verified — its span lands in a
 // gap and refetches.
 func recoverMarked(path string, f dataset.File, recs []Receipt) (units.Bytes, []FileRange) {
+	if f.Size == 0 {
+		return 0, nil // no byte to verify or to fetch
+	}
 	wholeFile := []FileRange{{File: f}}
 	if len(recs) == 0 {
 		return 0, wholeFile

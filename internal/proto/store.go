@@ -236,11 +236,12 @@ type Sink interface {
 
 // Preallocator is an optional Sink extension: sinks that can reserve a
 // file's final size up front implement it, and the client calls it once
-// per issued GET before the first WriteAt. Preallocating turns the
-// out-of-order striped writes into writes inside an already-sized file
-// instead of a sequence of file extensions (each a metadata update on
-// most filesystems). Implementations must be idempotent — re-fetches
-// after a checksum failure preallocate the same file again.
+// per issued GET with bytes to move, before the first WriteAt.
+// Preallocating turns the out-of-order striped writes into writes inside
+// an already-sized file instead of a sequence of file extensions, and it
+// is where DirSink marks the file in flight (see PartialMarkerSuffix).
+// Implementations must be idempotent — re-fetches after a checksum
+// failure preallocate the same file again.
 type Preallocator interface {
 	Preallocate(name string, size int64) error
 }
@@ -248,22 +249,30 @@ type Preallocator interface {
 // DirSink writes received files into a directory tree.
 type DirSink struct {
 	Root string
-	// SyncOnClose fsyncs each file before Close removes its partial
-	// marker — the store half of the durability discipline: the marker
-	// must not disappear while the data that justifies removing it can
-	// still be lost. Journal-enabled transfers set it.
+	// SyncOnClose fsyncs each file before Close trims it to its size —
+	// the store half of the durability discipline: the length mark must
+	// not be lifted while the data that justifies lifting it can still
+	// be lost. Journal-enabled transfers set it.
 	SyncOnClose bool
 
 	mu   sync.Mutex
-	open map[string]*os.File
+	open map[string]*sinkFile
+}
+
+// sinkFile is one open destination file.
+type sinkFile struct {
+	*os.File
+	// size is the file's final size once Preallocate marked it at
+	// size+1, and -1 before: Close trims only a marked file.
+	size int64
 }
 
 // NewDirSink returns a sink rooted at dir.
 func NewDirSink(dir string) *DirSink {
-	return &DirSink{Root: dir, open: make(map[string]*os.File)}
+	return &DirSink{Root: dir, open: make(map[string]*sinkFile)}
 }
 
-func (s *DirSink) file(name string) (*os.File, error) {
+func (s *DirSink) file(name string) (*sinkFile, error) {
 	path, err := rootedPath(s.Root, name)
 	if err != nil {
 		return nil, err
@@ -280,8 +289,9 @@ func (s *DirSink) file(name string) (*os.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.open[name] = f
-	return f, nil
+	sf := &sinkFile{File: f, size: -1}
+	s.open[name] = sf
+	return sf, nil
 }
 
 // WriteAt implements Sink.
@@ -293,36 +303,31 @@ func (s *DirSink) WriteAt(name string, p []byte, off int64) (int, error) {
 	return f.WriteAt(p, off)
 }
 
-// PartialMarkerSuffix marks a destination file whose length no longer
-// reflects its progress: preallocation sizes the file before its bytes
-// arrive, so an interrupted transfer leaves a full-length file with
-// holes. The marker is created before the truncate and removed on
-// Close; recovery treats a marked file as incomplete — journal-verified
-// resume when receipts exist, whole refetch otherwise — instead of
-// trusting its length.
+// PartialMarkerSuffix named the marker file that earlier builds created
+// beside a destination file in flight. A file in flight is now marked by
+// its own length: Preallocate sizes it one byte past its source size and
+// Close trims it back, so a file longer than its source is one whose
+// length lies. PlanResume still honours a leftover marker from an
+// earlier build: it converts it to the length mark and removes it.
+// Nothing creates one any more.
 const PartialMarkerSuffix = ".eta-partial"
 
-// Preallocate implements Preallocator: it sizes the destination file
-// with one Truncate before the first WriteAt, dropping a partial marker
-// until Close declares the content complete.
+// Preallocate implements Preallocator: it sizes the destination file to
+// size+1 with one Truncate before the first WriteAt. The extra byte is
+// the mark that the file is in flight; Close trims it once the content
+// is complete.
 func (s *DirSink) Preallocate(name string, size int64) error {
 	f, err := s.file(name)
 	if err != nil {
 		return err
 	}
-	info, err := f.Stat()
-	if err != nil {
+	if err := f.Truncate(size + 1); err != nil {
 		return err
 	}
-	marker, err := os.Create(f.Name() + PartialMarkerSuffix)
-	if err != nil {
-		return err
-	}
-	marker.Close()
-	if info.Size() == size {
-		return nil
-	}
-	return f.Truncate(size)
+	s.mu.Lock()
+	f.size = size
+	s.mu.Unlock()
+	return nil
 }
 
 // Close implements Sink. Closing a file that never received a block
@@ -342,18 +347,20 @@ func (s *DirSink) Close(name string) error {
 		s.mu.Unlock()
 	}
 	// The content is complete: make it durable first when asked, then
-	// lift the partial marker (if preallocation ever dropped one) before
-	// releasing the handle. Removing the marker before the data is
-	// stable would let a crash leave an unmarked file full of holes.
+	// lift the length mark (if Preallocate set one) before releasing the
+	// handle. Trimming before the data is stable would let a crash leave
+	// a file of the right length full of holes.
 	if s.SyncOnClose {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return err
 		}
 	}
-	if err := os.Remove(f.Name() + PartialMarkerSuffix); err != nil && !os.IsNotExist(err) {
-		f.Close()
-		return err
+	if f.size >= 0 {
+		if err := f.Truncate(f.size); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	return f.Close()
 }

@@ -67,7 +67,8 @@ func fakeServer(t *testing.T, serve func(id string, ctrl, data net.Conn)) string
 
 // A data block outside its GET's range, or one longer than any block a
 // server may send, fails the fetch before anything reaches the sink:
-// the bytes the block names keep their old content.
+// the bytes the block names keep their old content. The failed GET
+// leaves the file marked in flight, one byte past its size.
 func TestClientRejectsBlockOutsideRange(t *testing.T) {
 	old := bytes.Repeat([]byte{0x11}, 16)
 	for _, tc := range []struct {
@@ -107,8 +108,8 @@ func TestClientRejectsBlockOutsideRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, old) {
-				t.Errorf("destination reads %x, want it unchanged", got)
+			if len(got) != len(old)+1 || !bytes.Equal(got[:len(old)], old) {
+				t.Errorf("destination reads %x, want %x and the one-byte length mark", got, old)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -272,31 +273,46 @@ func TestCRCCacheEviction(t *testing.T) {
 	}
 }
 
+// Preallocate marks a file in flight by its length, size+1, and Close
+// trims it to its size — after the fsync when SyncOnClose is set. No
+// marker file appears at any step.
 func TestDirSinkPreallocateMarkerLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	sink := NewDirSink(dir)
-	if err := sink.Preallocate("f.bin", 4096); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "f.bin")
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() != 4096 {
-		t.Errorf("preallocated size %d, want 4096", info.Size())
-	}
-	if _, err := os.Stat(path + PartialMarkerSuffix); err != nil {
-		t.Errorf("marker missing after Preallocate: %v", err)
-	}
-	if _, err := sink.WriteAt("f.bin", make([]byte, 4096), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close("f.bin"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + PartialMarkerSuffix); !os.IsNotExist(err) {
-		t.Errorf("marker still present after Close: %v", err)
+	for _, syncOnClose := range []bool{false, true} {
+		t.Run(fmt.Sprintf("SyncOnClose=%v", syncOnClose), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "f.bin")
+			sink := NewDirSink(dir)
+			sink.SyncOnClose = syncOnClose
+			check := func(step string, want int64) {
+				t.Helper()
+				info, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Size() != want {
+					t.Errorf("after %s: size %d, want %d", step, info.Size(), want)
+				}
+				if markers, _ := filepath.Glob(filepath.Join(dir, "*"+PartialMarkerSuffix)); len(markers) != 0 {
+					t.Errorf("after %s: marker files %v", step, markers)
+				}
+			}
+			if err := sink.Preallocate("f.bin", 4096); err != nil {
+				t.Fatal(err)
+			}
+			check("Preallocate", 4097)
+			if _, err := sink.WriteAt("f.bin", make([]byte, 4096), 0); err != nil {
+				t.Fatal(err)
+			}
+			// A refetch preallocates the same file again.
+			if err := sink.Preallocate("f.bin", 4096); err != nil {
+				t.Fatal(err)
+			}
+			check("WriteAt and a second Preallocate", 4097)
+			if err := sink.Close("f.bin"); err != nil {
+				t.Fatal(err)
+			}
+			check("Close", 4096)
+		})
 	}
 }
 
