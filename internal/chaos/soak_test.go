@@ -262,10 +262,10 @@ func TestChaosSoakSeededSchedule(t *testing.T) {
 
 // TestChaosSoakVectoredPath drives the vectored writev data plane
 // through a seeded fault schedule: an unshaped server with
-// observability on, whose 600 KB files span five 128 KB blocks so a
-// stream has backlog to batch, must deliver byte-identical content
-// through corruption and resets, with the client/server retry books
-// reconciled and every served block accounted to a vectored batch.
+// observability on, whose 600 KB files span five 128 KB blocks, must
+// deliver byte-identical content through corruption and resets, with
+// the client/server retry books reconciled and every served block
+// accounted to a writev.
 func TestChaosSoakVectoredPath(t *testing.T) {
 	ds := dataset.NewGenerator(63).Uniform(10, 600*units.KB)
 	srvReg := obs.NewRegistry()
@@ -299,7 +299,7 @@ func TestChaosSoakVectoredPath(t *testing.T) {
 	if batches > blocks {
 		t.Errorf("writev_batches %d exceeds writev_blocks %d", batches, blocks)
 	}
-	// Every block the server pushed left through a writev batch —
+	// Every block the server pushed left through a writev —
 	// including blocks re-served on retry, which is why blocks is
 	// compared to bytes actually served rather than the dataset size.
 	wantBlocks := int64(0)

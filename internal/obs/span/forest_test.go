@@ -146,6 +146,12 @@ func TestReadForestLoopbackRecording(t *testing.T) {
 	if err := f.Check(0.01); err != nil {
 		t.Error(err)
 	}
+	// The fuzz target's invariants, on the whole recording and on one
+	// torn mid-line, as a crash leaves it.
+	checkForest(t, data)
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	torn := bytes.Join(lines[:4], nil)
+	checkForest(t, append(torn, lines[4][:len(lines[4])/2]...))
 }
 
 // TestForestCheck: each broken identity is reported, all of them in one
@@ -195,20 +201,19 @@ func TestForestCheck(t *testing.T) {
 }
 
 // FuzzReadForest: arbitrary input yields an error or a forest, never a
-// panic; every closed span ends no earlier than it starts; every span
-// is reached from exactly one root; and the
-// offline passes (Attribute, Check, CriticalPath, Chrome export) run to
-// completion on whatever forest comes back.
+// panic, and the forest keeps checkForest's invariants. The seeds stay
+// short: the fuzzer minimises each new input byte by byte, in time
+// quadratic in its length, so a multi-KiB seed such as the whole
+// loopback recording stalls it (TestReadForestLoopbackRecording checks
+// that recording).
 func FuzzReadForest(f *testing.F) {
 	rec, err := os.ReadFile(filepath.Join("testdata", "loopback.jsonl"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(rec)
-	lines := bytes.SplitAfter(rec, []byte("\n"))
-	torn := bytes.Join(lines[:4], nil)
-	torn = append(torn, lines[4][:len(lines[4])/2]...)
-	f.Add(torn)
+	first := bytes.SplitAfter(rec, []byte("\n"))[0]
+	f.Add(first)
+	f.Add(first[:len(first)/2])
 	f.Add([]byte(`{"seq":1,"t":"2026-08-06T10:00:00Z","type":"span_end","trace":"t1","span":9,"parent":0,"name":"get","dur_ms":3,"bytes":10,"joules":1}` + "\n"))
 	f.Add([]byte(`{"t":"2026-08-06T10:00:00Z","type":"span_begin","span":1,"parent":1}` + "\n" +
 		`{"t":"2026-08-06T10:00:00Z","type":"span_end","span":1,"dur_ms":-1}` + "\n"))
@@ -216,37 +221,43 @@ func FuzzReadForest(f *testing.F) {
 		`{"t":"2026-08-06T10:00:01Z","type":"span_end","span":1,"dur_ms":1000}` + "\n"))
 	f.Add([]byte(`{"t":"2026-08-06T10:00:00Z","type":"span_begin","span":1,"parent":2,"name":"a"}` + "\n" +
 		`{"t":"2026-08-06T10:00:00Z","type":"span_begin","span":2,"parent":1,"name":"b"}` + "\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		forest, err := ReadForest(bytes.NewReader(data))
-		if err != nil {
-			return
+	f.Fuzz(checkForest)
+}
+
+// checkForest reads data as a span stream. When it yields a forest,
+// every closed span ends no earlier than it starts, every span is
+// reached from exactly one root, and the offline passes (Attribute,
+// Check, CriticalPath, Chrome export) run to completion on it.
+func checkForest(t *testing.T, data []byte) {
+	forest, err := ReadForest(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	for id, rec := range forest.ByID {
+		if !rec.Open && rec.End.Before(rec.Start) {
+			t.Fatalf("span %d ends at %v, before its start %v", id, rec.End, rec.Start)
 		}
-		for id, rec := range forest.ByID {
-			if !rec.Open && rec.End.Before(rec.Start) {
-				t.Fatalf("span %d ends at %v, before its start %v", id, rec.End, rec.Start)
-			}
+	}
+	reached := 0
+	var walk func(*Record)
+	walk = func(r *Record) {
+		reached++
+		for _, c := range r.Children {
+			walk(c)
 		}
-		reached := 0
-		var walk func(*Record)
-		walk = func(r *Record) {
-			reached++
-			for _, c := range r.Children {
-				walk(c)
-			}
-		}
-		for _, root := range forest.Roots {
-			walk(root)
-		}
-		if reached != forest.SpanCount() {
-			t.Fatalf("%d of %d spans reached from the roots", reached, forest.SpanCount())
-		}
-		Attribute(forest)
-		_ = forest.Check(0.01)
-		for _, root := range forest.Roots {
-			CriticalPath(root)
-		}
-		_ = WriteChromeTrace(io.Discard, forest)
-	})
+	}
+	for _, root := range forest.Roots {
+		walk(root)
+	}
+	if reached != forest.SpanCount() {
+		t.Fatalf("%d of %d spans reached from the roots", reached, forest.SpanCount())
+	}
+	Attribute(forest)
+	_ = forest.Check(0.01)
+	for _, root := range forest.Roots {
+		CriticalPath(root)
+	}
+	_ = WriteChromeTrace(io.Discard, forest)
 }
 
 func TestAttributeLeafSplit(t *testing.T) {

@@ -148,6 +148,16 @@ func (e *Executor) Start(ctx context.Context, plan transfer.Plan) (transfer.Sess
 			}
 			n := 0
 			for _, r := range frs {
+				if r.File.Size == 0 {
+					// Nothing to fetch: closing the file in the sink
+					// creates it empty.
+					if err := e.Sink.Close(f.Name); err != nil {
+						return nil, err
+					}
+					s.files.Add(1)
+					e.Client.instruments().filesCompleted.Inc()
+					continue
+				}
 				if r.Remaining() == 0 {
 					continue
 				}

@@ -513,6 +513,46 @@ func TestResumeTrimsZeroByteFileLongerThanSource(t *testing.T) {
 	}
 }
 
+// A zero-byte source is created at the destination, with or without a
+// resume plan, and counted as a file moved; a second PlanResume then
+// finds nothing left.
+func TestExecutorCreatesZeroByteFile(t *testing.T) {
+	ds := dataset.Dataset{Files: []dataset.File{{Name: "empty.dat", Size: 0}, {Name: "full.dat", Size: 2000}}}
+	srv := synthServer(t, ds, nil)
+	for _, resume := range []bool{false, true} {
+		dst := t.TempDir()
+		exec := &Executor{
+			Client:      &Client{Addr: srv.Addr(), VerifyChecksums: true},
+			Sink:        NewDirSink(dst),
+			Environment: testEnv(),
+		}
+		if resume {
+			plan, err := PlanResume(dst, ds.Files, ResumeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec.Resume = plan
+		}
+		r, err := exec.Run(context.Background(), planFor(ds, 1, 1, 2))
+		if err != nil {
+			t.Fatalf("resume=%v: %v", resume, err)
+		}
+		if r.Files != 2 {
+			t.Errorf("resume=%v: the run reported %d files, want 2", resume, r.Files)
+		}
+		info, err := os.Stat(filepath.Join(dst, "empty.dat"))
+		if err != nil || info.Size() != 0 {
+			t.Errorf("resume=%v: empty.dat after the run: %v, err %v", resume, info, err)
+		}
+		if n := fileSize(t, filepath.Join(dst, "full.dat")); n != 2000 {
+			t.Errorf("resume=%v: full.dat is %d bytes, want 2000", resume, n)
+		}
+		if plan, err := PlanResume(dst, ds.Files, ResumeOptions{}); err != nil || len(plan.Ranges) != 0 {
+			t.Errorf("resume=%v: second plan %+v (err %v), want nothing left", resume, plan, err)
+		}
+	}
+}
+
 func TestPlanResumeReportsTornJournal(t *testing.T) {
 	root := t.TempDir()
 	f := dataset.File{Name: "t.dat", Size: 400}

@@ -64,11 +64,12 @@ func writeSource(t *testing.T, dir, name string, size int) []byte {
 	return content
 }
 
-// A DirStore serve sends every block by sendfile from one open per
-// GET: a cold one reads and hashes each block first and fills the
-// sidecar, a warm one takes every CRC from it, and an unaligned range
-// hashes without caching. All deliver the same bytes under a DONE CRC
-// the client verifies, shaped or not, through the tail block.
+// A DirStore serve opens the file once per GET: a cold one reads,
+// hashes and sends each block from the writer's buffer and fills the
+// sidecar, a warm one takes every CRC from it and sends every block by
+// sendfile, and an unaligned range hashes without caching. Every
+// block's header goes by writev. All deliver the same bytes under a
+// DONE CRC the client verifies, shaped or not, through the tail block.
 func TestSendfileServeMatchesWritev(t *testing.T) {
 	const blockSize = 64 * 1024
 	const size = 3*blockSize + 1000
@@ -104,8 +105,9 @@ func TestSendfileServeMatchesWritev(t *testing.T) {
 				t.Errorf("shaped=%v %s: content differs from source", shaped, step)
 			}
 			blocks := (int64(size-off) + blockSize - 1) / blockSize
-			if got := sendfiles.Value() - sf; got != blocks {
-				t.Errorf("shaped=%v %s: %d sendfile blocks, want %d", shaped, step, got, blocks)
+			// Exactly the blocks the sidecar vouches for go by sendfile.
+			if got := sendfiles.Value() - sf; got != wantHits {
+				t.Errorf("shaped=%v %s: %d sendfile blocks, want %d", shaped, step, got, wantHits)
 			}
 			if got := writevBlocks.Value() - wv; got != blocks {
 				t.Errorf("shaped=%v %s: %d block headers went by writev, want %d", shaped, step, got, blocks)
@@ -275,7 +277,7 @@ func TestSendfileTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := sparseFile(t, 8<<20)
-	w := newStreamWriter(c1, 1, nil, 100*time.Millisecond, &serverInstruments{})
+	w := newStreamWriter(c1, nil, 100*time.Millisecond, &serverInstruments{})
 	if w.file == nil {
 		t.Fatal("no sendfile for a TCP conn")
 	}
@@ -298,22 +300,22 @@ func TestFileSenderNeedsTCP(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	if newStreamWriter(c1, 1, nil, 0, &serverInstruments{}).file != nil {
+	if newStreamWriter(c1, nil, 0, &serverInstruments{}).file != nil {
 		t.Error("a net.Pipe got a sendfile sender")
 	}
 }
 
 // A stream writer allocates nothing per block once its first GET has
-// given it its buffers. A file-backed GET sends every block by sendfile
-// after a writev of its header, whether the block is hashed first
-// (cold) or its CRC comes from the sidecar (warm, here every other
-// block); a GET without a file reads every block and sends it in
-// multi-block writev batches.
+// given it its buffer, on every route. A GET without a file and a cold
+// file-backed GET read every block and send it with its header in one
+// writev; a warm GET, here with every other block's CRC in the
+// sidecar, sends those blocks by sendfile after a writev of the header
+// and reads the rest.
 func TestSendfileWarmPathZeroAlloc(t *testing.T) {
 	w, r := tcpPair(t)
 	go io.Copy(io.Discard, r)
 	const blockSize = 64 * 1024
-	const blocks = 2*maxBatchBlocks + 3
+	const blocks = 19
 	f := sparseFile(t, blocks*blockSize)
 	synth := NewSynthStore(dataset.Dataset{Files: []dataset.File{{Name: "sparse", Size: blocks * blockSize}}})
 	reg := obs.NewRegistry()
@@ -323,7 +325,7 @@ func TestSendfileWarmPathZeroAlloc(t *testing.T) {
 		crcCacheHits:   reg.Counter("server_crc_cache_hits"),
 		crcCacheMisses: reg.Counter("server_crc_cache_misses"),
 	}
-	sw := newStreamWriter(w, maxBatchBlocks, nil, time.Second, &inst)
+	sw := newStreamWriter(w, nil, time.Second, &inst)
 	sw.stream = NewLimiter(0)
 	job := func(f *os.File, sidecar *crcSidecar) *getJob {
 		return &getJob{
@@ -335,7 +337,7 @@ func TestSendfileWarmPathZeroAlloc(t *testing.T) {
 			blocks:    blocks,
 		}
 	}
-	// run serves g once, which may allocate the writer's buffers, and
+	// run serves g once, which may allocate the writer's buffer, and
 	// then 21 more times (AllocsPerRun adds a warm-up run), each after
 	// prepare. It checks the 21 allocate nothing and that they made the
 	// given numbers of writev batches and sendfile blocks.
@@ -360,9 +362,9 @@ func TestSendfileWarmPathZeroAlloc(t *testing.T) {
 		}
 	}
 
-	// 3 batches per GET: 8, 8 and 3 blocks.
-	run("buffered", job(nil, nil), func() {}, 21*3, 0)
-	run("cold", job(f, nil), func() {}, 21*blocks, 21*blocks)
+	// One writev per block on every route.
+	run("no file", job(nil, nil), func() {}, 21*blocks, 0)
+	run("cold", job(f, nil), func() {}, 21*blocks, 0)
 
 	// The sidecar holds every odd block's CRC. Each serve caches the
 	// even ones it reads, so they are forgotten again before the next.
@@ -378,7 +380,7 @@ func TestSendfileWarmPathZeroAlloc(t *testing.T) {
 		sc.cache.mu.Unlock()
 	}
 	hits, misses := inst.crcCacheHits.Value(), inst.crcCacheMisses.Value()
-	run("warm", job(f, sc), forgetEven, 21*blocks, 21*blocks)
+	run("warm", job(f, sc), forgetEven, 21*blocks, 21*(blocks/2))
 	if got, want := inst.crcCacheHits.Value()-hits, int64(22*(blocks/2)); got != want {
 		t.Errorf("warm GETs took %d CRCs from the sidecar, want %d", got, want)
 	}
@@ -387,36 +389,44 @@ func TestSendfileWarmPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// A file-backed stream writer holds one block of payload at most: a
-// cold GET, which reads and hashes every block before sending it by
-// sendfile, allocates one block buffer, not a batch of them, and
+// A stream writer holds one block of payload at most on every route: a
+// cold GET, which reads, hashes and sends every block, allocates one
+// block buffer whether it reads from the GET's file, from a SynthStore
+// without one, or writes to a conn that cannot take sendfile. Each
 // leaves every tile's CRC in the sidecar.
 func TestServeFileAllocatesOneBlockBuffer(t *testing.T) {
-	w, r := tcpPair(t)
-	go func() {
+	// drain reads r until it fails.
+	drain := func(r net.Conn) {
 		buf := make([]byte, 64*1024)
 		for {
 			if _, err := r.Read(buf); err != nil {
 				return
 			}
 		}
-	}()
+	}
+	tcpW, tcpR := tcpPair(t)
+	go drain(tcpR)
+	pipeW, pipeR := net.Pipe()
+	t.Cleanup(func() { pipeW.Close(); pipeR.Close() })
+	go drain(pipeR)
+
 	const blockSize = 64 * 1024
-	const blocks = 2*maxBatchBlocks + 3
-	// The writer's allocations besides its block buffer: its header,
-	// vector and slot tables, the sender, the CRC list and the
-	// sidecar's tile tables.
+	const blocks = 19
+	// The writer's allocations besides its block buffer: its vector,
+	// the sender, the CRC list and the sidecar's tile tables.
 	const slack = 8 * 1024
 	f := sparseFile(t, blocks*blockSize)
-	run := func() uint64 {
+	synth := NewSynthStore(dataset.Dataset{Files: []dataset.File{{Name: "sparse", Size: blocks * blockSize}}})
+	run := func(conn net.Conn, store Store, file *os.File) uint64 {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		sw := newStreamWriter(w, maxBatchBlocks, nil, time.Second, &serverInstruments{})
+		sw := newStreamWriter(conn, nil, time.Second, &serverInstruments{})
 		sw.stream = NewLimiter(0)
 		g := &getJob{
 			req:       getRequest{ID: 1, Name: "sparse", Length: blocks * blockSize},
-			file:      f,
+			store:     store,
+			file:      file,
 			sidecar:   newCRCCache(0).open("sparse", blocks*blockSize, 0, blockSize),
 			blockSize: blockSize,
 			blocks:    blocks,
@@ -433,15 +443,26 @@ func TestServeFileAllocatesOneBlockBuffer(t *testing.T) {
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	// MemStats also counts what other goroutines allocate meanwhile,
-	// which only ever adds: the fewest of a few runs bounds the
-	// writer's own allocations.
-	least := uint64(math.MaxUint64)
-	for range 5 {
-		least = min(least, run())
-	}
-	if bound := uint64(blockSize + slack); least > bound {
-		t.Errorf("a cold %d-block GET allocated %d bytes, bound one %d-byte block + %d", blocks, least, blockSize, slack)
+	for _, tc := range []struct {
+		name  string
+		conn  net.Conn
+		store Store
+		file  *os.File
+	}{
+		{"file over TCP", tcpW, nil, f},
+		{"SynthStore without a file", tcpW, synth, nil},
+		{"file over net.Pipe", pipeW, nil, f},
+	} {
+		// MemStats also counts what other goroutines allocate
+		// meanwhile, which only ever adds: the fewest of a few runs
+		// bounds the writer's own allocations.
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			least = min(least, run(tc.conn, tc.store, tc.file))
+		}
+		if bound := uint64(blockSize + slack); least > bound {
+			t.Errorf("%s: a cold %d-block GET allocated %d bytes, bound one %d-byte block + %d", tc.name, blocks, least, blockSize, slack)
+		}
 	}
 }
 
@@ -500,13 +521,17 @@ func TestDirStoreRewriteWithRestoredMtime(t *testing.T) {
 	}
 }
 
-// BenchmarkServe measures the server's file-backed serve path: one
-// fetch of 4 × 32 MiB from a DirStore over loopback TCP on 2 streams,
-// with VerifyChecksums. cold starts a fresh server for every fetch, so
-// every block is read and hashed before it goes by sendfile; warm
-// fetches from one server whose sidecar already holds every CRC, so
-// nothing is read. Besides MB/s and B/op (server and client share the
-// process) it reports the process CPU time per GB fetched.
+// BenchmarkServe measures the server's serve path: one fetch of
+// 4 × 32 MiB over loopback TCP on 2 streams, with VerifyChecksums. cold
+// starts a fresh DirStore server for every fetch, so every block is
+// read, hashed and sent from the writer's buffer; warm fetches from one
+// DirStore server whose sidecar already holds every CRC, so every block
+// goes by sendfile and nothing is read; synth fetches from one
+// SynthStore server (no Opener, xferd's default store), which generates
+// every block into the writer's buffer and takes its CRC from the
+// warm sidecar. Besides MB/s and B/op (server and client share the
+// process) it reports the process CPU time per GB fetched and the
+// server's writev calls per block.
 func BenchmarkServe(b *testing.B) {
 	const files, size = 4, 32 << 20
 	dir := b.TempDir()
@@ -530,8 +555,9 @@ func BenchmarkServe(b *testing.B) {
 		}
 		ds = append(ds, dataset.File{Name: name, Size: size})
 	}
-	start := func(b *testing.B) (*Server, *Channel) {
-		srv, err := ListenAndServe("127.0.0.1:0", ServerConfig{Store: DirStore{Root: dir}})
+	reg := obs.NewRegistry()
+	start := func(b *testing.B, store Store) (*Server, *Channel) {
+		srv, err := ListenAndServe("127.0.0.1:0", ServerConfig{Store: store, Metrics: reg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -542,26 +568,51 @@ func BenchmarkServe(b *testing.B) {
 		}
 		return srv, ch
 	}
+	writevCalls, writevBlocks := reg.Counter("server_writev_batches"), reg.Counter("server_writev_blocks")
 	var cpu time.Duration
+	var writevs, blocks int64
 	fetch := func(ch *Channel) error {
-		c0 := processCPU()
+		c0, w0, b0 := processCPU(), writevCalls.Value(), writevBlocks.Value()
 		_, err := ch.Fetch(ds, 2, discardSink{})
 		cpu += processCPU() - c0
+		writevs += writevCalls.Value() - w0
+		blocks += writevBlocks.Value() - b0
 		return err
+	}
+	reset := func(b *testing.B) {
+		cpu, writevs, blocks = 0, 0, 0
+		b.SetBytes(files * size)
+		b.ReportAllocs()
+		b.ResetTimer()
 	}
 	report := func(b *testing.B) {
 		gb := float64(b.N) * files * size / 1e9
 		b.ReportMetric(cpu.Seconds()/gb, "cpu_s/GB")
+		b.ReportMetric(float64(writevs)/float64(blocks), "writevs/block")
+	}
+	// steady fetches b.N times from one server on store, after one
+	// untimed fetch that fills its sidecar.
+	steady := func(b *testing.B, store Store) {
+		srv, ch := start(b, store)
+		defer srv.Close()
+		defer ch.Close()
+		if err := fetch(ch); err != nil {
+			b.Fatal(err)
+		}
+		reset(b)
+		for i := 0; i < b.N; i++ {
+			if err := fetch(ch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b)
 	}
 
 	b.Run("cold", func(b *testing.B) {
-		cpu = 0
-		b.SetBytes(files * size)
-		b.ReportAllocs()
-		b.ResetTimer()
+		reset(b)
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			srv, ch := start(b)
+			srv, ch := start(b, DirStore{Root: dir})
 			b.StartTimer()
 			err := fetch(ch)
 			b.StopTimer()
@@ -574,24 +625,8 @@ func BenchmarkServe(b *testing.B) {
 		}
 		report(b)
 	})
-	b.Run("warm", func(b *testing.B) {
-		srv, ch := start(b)
-		defer srv.Close()
-		defer ch.Close()
-		if err := fetch(ch); err != nil {
-			b.Fatal(err)
-		}
-		cpu = 0
-		b.SetBytes(files * size)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := fetch(ch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b)
-	})
+	b.Run("warm", func(b *testing.B) { steady(b, DirStore{Root: dir}) })
+	b.Run("synth", func(b *testing.B) { steady(b, NewSynthStore(dataset.Dataset{Files: ds})) })
 }
 
 // processCPU returns the CPU time this process has used so far.

@@ -69,23 +69,6 @@ func (c ServerConfig) blockSize() int {
 // connections to arrive.
 const dataDialTimeout = 10 * time.Second
 
-// maxBatchBlocks caps how many blocks one writev gathers on an
-// unshaped stream, amortizing syscalls; it is also how many payload
-// buffers a stream writer holds. It applies only to buffered blocks:
-// a GET sent by sendfile uses one buffer at most.
-const maxBatchBlocks = 8
-
-// batchBlocks is how many blocks a stream writer gathers per writev.
-// Shaped streams stay at one block per write so the limiters keep
-// pacing at block granularity (the header+payload coalescing into a
-// single vectored write applies either way).
-func (c ServerConfig) batchBlocks() int {
-	if c.PerStreamRate == 0 && c.LinkRate == 0 {
-		return maxBatchBlocks
-	}
-	return 1
-}
-
 func (c ServerConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
@@ -590,13 +573,14 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	}
 
 	// A store that hands out file handles is opened once for the whole
-	// GET, and a stream that can take it sends every block's payload
-	// from the file by sendfile; only a block whose CRC is not cached
-	// is read, to be hashed. The identity above is taken first: a file
-	// replaced in between is then served under the old identity, which
-	// no later serve matches, instead of filing the old file's CRCs
-	// under the new one. The deferred close runs after wg.Wait below,
-	// when no writer can still be sending from the file.
+	// GET. A TCP stream sends each block the sidecar vouches for from
+	// it by sendfile; every other block is read from it into the
+	// writer's buffer, hashed and sent from there. The identity above
+	// is taken first: a file replaced in between is then served under
+	// the old identity, which no later serve matches, instead of filing
+	// the old file's CRCs under the new one. The deferred close runs
+	// after wg.Wait below, when no writer can still be sending from the
+	// file.
 	if o, ok := cfg.Store.(Opener); ok && req.Length > 0 {
 		f, err := o.Open(req.Name)
 		if err != nil {
@@ -646,12 +630,11 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 // Only serveLoop calls it, so sess.writers needs no lock.
 func (sess *serverSession) streamWriters() []*streamWriter {
 	streams := sess.streams()
-	cfg := &sess.srv.cfg
 	for i, c := range streams {
 		if i < len(sess.writers) && sess.writers[i].conn == c {
 			continue
 		}
-		w := newStreamWriter(c, cfg.batchBlocks(), sess.srv.link, cfg.StallTimeout, &sess.srv.inst)
+		w := newStreamWriter(c, sess.srv.link, sess.srv.cfg.StallTimeout, &sess.srv.inst)
 		if i < len(sess.writers) {
 			sess.writers[i] = w
 		} else {
@@ -708,15 +691,15 @@ func readBlock(store Store, name string, f *os.File, p []byte, off int64) error 
 }
 
 // streamWriter owns one data stream for the session: it reads,
-// checksums and sends that stream's share of every GET. A block of a
-// GET with an open file goes by sendfile right after a writev of its
-// header; only a block the sidecar cannot vouch for is read first, into
-// the writer's one buffer, to be hashed. Any other GET's blocks are
-// read into the writer's buffers and ride in one writev with their
-// headers. The writer's payload buffers never leave it.
+// checksums and sends that stream's share of every GET, one block at a
+// time. A block the sidecar vouches for, of a GET with an open file,
+// goes by sendfile right after a writev of its header; any other block
+// is read into the writer's one buffer, hashed unless its CRC is
+// cached, and sent with its header in one writev. The buffer never
+// leaves the writer.
 type streamWriter struct {
 	conn    net.Conn
-	file    *fileSender // nil: the stream takes buffered blocks only
+	file    *fileSender // nil: every block is read into payload
 	stream  *Limiter    // the current GET's per-stream limiter
 	link    *Limiter
 	timeout time.Duration
@@ -727,31 +710,27 @@ type streamWriter struct {
 	// finished. It grows only with blocks actually read or sent, never
 	// with the length a GET asks for.
 	crcs []uint32
-	// payload holds one block buffer per batch slot, allocated on first
-	// use and kept for the stream's life; a GET sent by sendfile uses
-	// slot 0 alone. headers holds one encoded header per slot. scratch
-	// is the stable backing of each writev's vector; bufs is the
-	// consumable copy handed to writeBatch (the write advances it,
-	// leaving scratch's capacity intact).
-	payload [][]byte
-	headers []byte
+	// payload is the block buffer, allocated on first use and kept for
+	// the stream's life; header is the encoded header of the block in
+	// flight. scratch is the stable backing of each writev's vector;
+	// bufs is the consumable copy handed to writeBatch (the write
+	// advances it, leaving scratch's capacity intact).
+	payload []byte
+	header  [blockHeaderSize]byte
 	scratch net.Buffers
 	bufs    net.Buffers
 }
 
-// newStreamWriter returns the writer for conn, which gathers up to
-// maxBatch buffered blocks per writev. Only a TCP conn can take
-// blocks by sendfile; any other (a net.Pipe, a wrapped conn) takes
-// buffered blocks only.
-func newStreamWriter(conn net.Conn, maxBatch int, link *Limiter, timeout time.Duration, inst *serverInstruments) *streamWriter {
+// newStreamWriter returns the writer for conn. Only a TCP conn can
+// send blocks by sendfile; any other (a net.Pipe, a wrapped conn) reads
+// every block into the writer's buffer.
+func newStreamWriter(conn net.Conn, link *Limiter, timeout time.Duration, inst *serverInstruments) *streamWriter {
 	w := &streamWriter{
 		conn:    conn,
 		link:    link,
 		timeout: timeout,
 		inst:    inst,
-		payload: make([][]byte, maxBatch),
-		headers: make([]byte, maxBatch*blockHeaderSize),
-		scratch: make(net.Buffers, 0, 2*maxBatch),
+		scratch: make(net.Buffers, 0, 2),
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		w.file = newFileSender(tc)
@@ -761,38 +740,33 @@ func newStreamWriter(conn net.Conn, maxBatch int, link *Limiter, timeout time.Du
 
 // serve sends blocks first, first+stride, ... of g in order and returns
 // the bytes written. It stops early, without an error of its own, once
-// another writer of g has failed.
+// another writer of g has failed. A block read for hashing is sent from
+// the same buffer, so the CRC it files is the CRC of the bytes sent.
 func (w *streamWriter) serve(g *getJob, first, stride int64) (int64, error) {
 	w.crcs = w.crcs[:0]
-	if g.file != nil && w.file != nil {
-		return w.serveFile(g, first, stride)
-	}
-	return w.serveBuffered(g, first, stride)
-}
-
-// serveFile sends each block as a writev of its header and a sendfile
-// of its payload. A block whose CRC the sidecar lacks is first read
-// into payload slot 0 and hashed, and its CRC is filed only once the
-// whole block has hashed; the payload still goes from the file, so the
-// stream never holds more than that one block.
-func (w *streamWriter) serveFile(g *getJob, first, stride int64) (int64, error) {
 	var total int64
-	h := w.headers[:blockHeaderSize]
 	for b := first; b < g.blocks && !g.failed.Load(); b += stride {
 		off, n := g.block(b)
 		crc, cached := w.lookup(g, off, n)
-		if !cached {
-			p := w.buffer(0, n, g.blockSize)
+		byFile := cached && g.file != nil && w.file != nil
+		encodeBlockHeader(w.header[:], blockHeader{ReqID: g.req.ID, Offset: uint64(off), Length: uint32(n)})
+		w.scratch = append(w.scratch[:0], w.header[:])
+		if !byFile {
+			if int64(cap(w.payload)) < n {
+				w.payload = make([]byte, g.blockSize)
+			}
+			p := w.payload[:n]
 			if err := readBlock(g.store, g.req.Name, g.file, p, off); err != nil {
 				return total, g.fail(err)
 			}
-			crc = w.hash(g, p, off)
+			if !cached {
+				crc = w.hash(g, p, off)
+			}
+			w.scratch = append(w.scratch, p)
 		}
-		encodeBlockHeader(h, blockHeader{ReqID: g.req.ID, Offset: uint64(off), Length: uint32(n)})
-		w.scratch = append(w.scratch[:0], h)
-		sent, err := w.flush(1)
+		sent, err := w.flush()
 		total += sent
-		if err == nil {
+		if err == nil && byFile {
 			sent, err = w.sendFile(g.file, off, n)
 			total += sent
 		}
@@ -802,54 +776,6 @@ func (w *streamWriter) serveFile(g *getJob, first, stride int64) (int64, error) 
 		w.crcs = append(w.crcs, crc)
 	}
 	return total, nil
-}
-
-// serveBuffered reads each block into its own payload slot and sends
-// up to len(w.payload) blocks, headers included, per writev.
-func (w *streamWriter) serveBuffered(g *getJob, first, stride int64) (int64, error) {
-	var total int64
-	k := 0 // blocks in the pending vector
-	w.scratch = w.scratch[:0]
-	for b := first; b < g.blocks && !g.failed.Load(); b += stride {
-		off, n := g.block(b)
-		h := w.headers[k*blockHeaderSize : (k+1)*blockHeaderSize]
-		encodeBlockHeader(h, blockHeader{ReqID: g.req.ID, Offset: uint64(off), Length: uint32(n)})
-		p := w.buffer(k, n, g.blockSize)
-		if err := readBlock(g.store, g.req.Name, g.file, p, off); err != nil {
-			return total, g.fail(err)
-		}
-		crc, cached := w.lookup(g, off, n)
-		if !cached {
-			crc = w.hash(g, p, off)
-		}
-		w.scratch = append(w.scratch, h, p)
-		if k++; k == len(w.payload) {
-			sent, err := w.flush(k)
-			total += sent
-			if err != nil {
-				return total, g.fail(err)
-			}
-			k = 0
-		}
-		w.crcs = append(w.crcs, crc)
-	}
-	if k > 0 && !g.failed.Load() {
-		sent, err := w.flush(k)
-		total += sent
-		if err != nil {
-			return total, g.fail(err)
-		}
-	}
-	return total, nil
-}
-
-// buffer returns payload slot k cut to n bytes, giving the slot a
-// size-byte block on first use.
-func (w *streamWriter) buffer(k int, n, size int64) []byte {
-	if int64(cap(w.payload[k])) < n {
-		w.payload[k] = make([]byte, size)
-	}
-	return w.payload[k][:n]
 }
 
 // lookup returns the sidecar's CRC of the block at [off, off+n), if it
@@ -873,9 +799,9 @@ func (w *streamWriter) hash(g *getJob, p []byte, off int64) uint32 {
 	return crc
 }
 
-// flush writes the pending vector, which carries the given number of
-// block headers, as one writev.
-func (w *streamWriter) flush(headers int) (int64, error) {
+// flush writes the pending vector, which carries one block header, as
+// one writev.
+func (w *streamWriter) flush() (int64, error) {
 	w.bufs = w.scratch
 	w.scratch = w.scratch[:0]
 	n, err := writeBatch(w.conn, &w.bufs, w.stream, w.link, w.timeout)
@@ -883,7 +809,7 @@ func (w *streamWriter) flush(headers int) (int64, error) {
 		return n, err
 	}
 	w.inst.writevBatches.Inc()
-	w.inst.writevBlocks.Add(int64(headers))
+	w.inst.writevBlocks.Inc()
 	return n, nil
 }
 
@@ -918,11 +844,12 @@ func (w *streamWriter) sendFile(f *os.File, off, n int64) (int64, error) {
 	return sent + pad, fmt.Errorf("file ended at %d, inside the block at %d+%d", off+sent, off, n)
 }
 
-// writeBatch sends one batch of framed blocks to a data stream as a
-// single vectored write: net.Buffers reaches a TCP connection as one
-// writev. The batch total is first admitted through both limiters (nil
-// means unlimited), which pace it in burst-sized installments exactly
-// as they would a flat write of the same size. A positive timeout arms
+// writeBatch sends a framed block's header, and its payload when the
+// writer holds it, to a data stream as a single vectored write:
+// net.Buffers reaches a TCP connection as one writev. The total is
+// first admitted through both limiters (nil means unlimited), which
+// pace it in burst-sized installments exactly as they would a flat
+// write of the same size. A positive timeout arms
 // a rolling write deadline, so a peer that stops draining the socket
 // turns into a timeout error instead of parking the writer forever.
 // The write consumes bufs; callers keep a separate backing slice and

@@ -130,9 +130,9 @@ func TestWriteBatchZeroAlloc(t *testing.T) {
 }
 
 func TestVectoredFetchCountsBatches(t *testing.T) {
-	// An unshaped loopback transfer must ship every block through the
-	// vectored path: blocks written == blocks served, and each batch is
-	// at least one block (so batches <= blocks).
+	// A loopback transfer from a SynthStore ships every block through
+	// the vectored path, one writev per block: blocks written == blocks
+	// served == writevs.
 	ds := dataset.NewGenerator(11).Uniform(4, 2*units.MB)
 	reg := obs.NewRegistry()
 	srv := synthServer(t, ds, func(c *ServerConfig) {
@@ -161,8 +161,8 @@ func TestVectoredFetchCountsBatches(t *testing.T) {
 	if blocks != wantBlocks {
 		t.Errorf("writev_blocks = %d, want %d", blocks, wantBlocks)
 	}
-	if batches == 0 || batches > blocks {
-		t.Errorf("writev_batches = %d, want in [1, %d]", batches, blocks)
+	if batches != blocks {
+		t.Errorf("writev_batches = %d, want one per block (%d)", batches, blocks)
 	}
 }
 
