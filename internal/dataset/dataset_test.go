@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +151,50 @@ func TestPartitionIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Every chunk's Files is capped at its own length, so appending to one
+// chunk, as MergeChunks does, reallocates it: no other chunk and not
+// the source dataset can change. The zero-BDP path holds it too.
+func TestPartitionChunksDoNotAlias(t *testing.T) {
+	d := NewGenerator(5).ManySmall(60, units.KB, units.GB)
+	src := slices.Clone(d.Files)
+	for _, bdp := range []units.Bytes{50 * units.MB, 0} {
+		n := len(Partition(d, bdp))
+		if bdp > 0 && n != 3 {
+			t.Fatalf("bdp %v: %d chunks, want all three classes", bdp, n)
+		}
+		for i := 0; i < n; i++ {
+			chunks := Partition(d, bdp)
+			before := make([][]File, n)
+			for j, c := range chunks {
+				if cap(c.Files) != len(c.Files) {
+					t.Errorf("bdp %v: chunk %d has cap %d, len %d", bdp, j, cap(c.Files), len(c.Files))
+				}
+				before[j] = slices.Clone(c.Files)
+			}
+			chunks[i].Files = append(chunks[i].Files, File{"extra.dat", units.MB})
+			for j, c := range chunks {
+				if j != i && !slices.Equal(c.Files, before[j]) {
+					t.Errorf("bdp %v: appending to chunk %d changed chunk %d", bdp, i, j)
+				}
+			}
+			if !slices.Equal(d.Files, src) {
+				t.Fatalf("bdp %v: appending to chunk %d changed the dataset", bdp, i)
+			}
+		}
+	}
+}
+
+// Partition allocates the files array and the chunk list, nothing else:
+// core.prepareChunks runs it in every cell of the sweeps.
+func TestPartitionAllocatesTwice(t *testing.T) {
+	d := NewGenerator(5).ManySmall(400, units.KB, units.GB)
+	for _, bdp := range []units.Bytes{50 * units.MB, 0} {
+		if allocs := testing.AllocsPerRun(100, func() { Partition(d, bdp) }); allocs > 2 {
+			t.Errorf("bdp %v: Partition allocates %v times, want at most 2", bdp, allocs)
+		}
 	}
 }
 

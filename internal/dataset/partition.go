@@ -96,29 +96,47 @@ func (c Chunk) Weight() float64 {
 // Partition splits d into Small/Medium/Large chunks around the given
 // BDP. Empty classes are dropped; the result is ordered Small→Large.
 // The partition is a permutation of d's files: nothing is lost or
-// duplicated (property-tested).
+// duplicated (property-tested). Every chunk's Files is a window of one
+// new array, capped at its own length, so appending to one chunk (as
+// MergeChunks does) reallocates it and never writes into a neighbour or
+// into d.
 func Partition(d Dataset, bdp units.Bytes) []Chunk {
+	files := make([]File, len(d.Files))
 	if bdp <= 0 {
 		// Degenerate path (e.g. zero RTT in a LAN): everything is
 		// effectively many BDPs long.
-		return []Chunk{{Class: Large, Files: append([]File(nil), d.Files...)}}
+		copy(files, d.Files)
+		return []Chunk{{Class: Large, Files: files}}
 	}
-	buckets := make([][]File, numClasses)
-	for _, f := range d.Files {
+	class := func(f File) Class {
 		switch {
 		case f.Size < MediumFactor*bdp:
-			buckets[Small] = append(buckets[Small], f)
+			return Small
 		case f.Size < LargeFactor*bdp:
-			buckets[Medium] = append(buckets[Medium], f)
+			return Medium
 		default:
-			buckets[Large] = append(buckets[Large], f)
+			return Large
 		}
 	}
-	var chunks []Chunk
-	for class := Small; class < numClasses; class++ {
-		if len(buckets[class]) > 0 {
-			chunks = append(chunks, Chunk{Class: class, Files: buckets[class]})
+	var count [numClasses]int
+	for _, f := range d.Files {
+		count[class(f)]++
+	}
+	// Classes sit in order in files, each after the ones before it;
+	// next[c] is where class c's next file goes.
+	var next [numClasses]int
+	chunks := make([]Chunk, 0, numClasses)
+	for c, off := Small, 0; c < numClasses; c++ {
+		next[c] = off
+		if n := count[c]; n > 0 {
+			chunks = append(chunks, Chunk{Class: c, Files: files[off : off+n : off+n]})
+			off += n
 		}
+	}
+	for _, f := range d.Files {
+		c := class(f)
+		files[next[c]] = f
+		next[c]++
 	}
 	return chunks
 }

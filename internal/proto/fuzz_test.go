@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -480,6 +481,104 @@ func FuzzPlanResume(f *testing.F) {
 		}
 		if plan.Verified != verified {
 			t.Fatalf("plan verified %d bytes, the surviving receipts prove %d", plan.Verified, verified)
+		}
+	})
+}
+
+// fuzzReceipts are the receipts FuzzReadJournal journals before it
+// cuts the file.
+var fuzzReceipts = []Receipt{
+	{Name: "a.dat", Off: 0, N: 256 << 10, CRC: 0xDEADBEEF},
+	{Name: "d/b", Off: 1 << 40, N: 1, CRC: 0},
+	{Name: "a.dat", Off: 256 << 10, N: 1234, CRC: 7},
+}
+
+// journalBytes journals recs through Journal.Append into a new journal
+// at path and returns the file's bytes.
+func journalBytes(tb testing.TB, path string, recs []Receipt) []byte {
+	tb.Helper()
+	j, err := OpenJournal(path, JournalOptions{FsyncInterval: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range recs {
+		j.Append(r.Name, r.Off, r.N, r.CRC)
+	}
+	if err := j.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// FuzzReadJournal journals the first n (mod 4) of fuzzReceipts through
+// Journal.Append, cuts the file after cut bytes and appends tail: the
+// shape a crash, or a crash and then garbage, leaves. ReadJournal must
+// not fail; it must return every receipt whose record lies wholly
+// before the cut, in order, then only whole records that follow them
+// in the file byte for byte as Append encodes them, and report torn
+// unless it decoded the whole file. OpenJournal then repairs the tail:
+// one more Append gives the same receipts plus the new one, untorn.
+func FuzzReadJournal(f *testing.F) {
+	whole := journalBytes(f, filepath.Join(f.TempDir(), JournalFileName), fuzzReceipts[2:])
+	f.Add(uint8(3), uint16(0xffff), []byte{})                   // intact
+	f.Add(uint8(0), uint16(0), []byte{})                        // empty file
+	f.Add(uint8(3), uint16(40), []byte{})                       // cut inside the second record
+	f.Add(uint8(3), uint16(37), []byte{recMagic, 0})            // a record cut in its length
+	f.Add(uint8(2), uint16(4), []byte("RNL1\n"))                // the tail completes the header
+	f.Add(uint8(1), uint16(0xffff), whole[len(journalHeader):]) // the tail is a whole record
+	f.Add(uint8(2), uint16(60), bytes.Repeat([]byte{0xFF}, 24)) // garbage after a cut
+	f.Fuzz(func(t *testing.T, n uint8, cut uint16, tail []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, JournalFileName)
+		written := fuzzReceipts[:int(n)%(len(fuzzReceipts)+1)]
+		jb := journalBytes(t, path, written)
+		c := min(int(cut), len(jb))
+		file := append(jb[:c:c], tail...)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, torn, err := ReadJournal(path)
+		if err != nil {
+			t.Fatalf("ReadJournal failed on a cut journal: %v", err)
+		}
+		k, end := 0, len(journalHeader)
+		for k < len(written) && end+recFixedSize+len(written[k].Name)+4 <= c {
+			end += recFixedSize + len(written[k].Name) + 4
+			k++
+		}
+		if len(recs) < k || !slices.Equal(recs[:k], written[:k]) {
+			t.Fatalf("decoded %+v, want %+v first", recs, written[:k])
+		}
+		headerOK := bytes.HasPrefix(file, journalHeader)
+		if headerOK {
+			enc := journalBytes(t, filepath.Join(dir, "encoded"), recs[k:])[len(journalHeader):]
+			if !bytes.HasPrefix(file[end:], enc) {
+				t.Fatalf("decoded %+v after the written receipts, which the file does not hold as whole records", recs[k:])
+			}
+			end += len(enc)
+		} else if len(recs) > 0 {
+			t.Fatalf("decoded %d receipts from a file without the header", len(recs))
+		}
+		if want := !headerOK || end != len(file); torn != want {
+			t.Fatalf("torn = %v, want %v (%d of %d bytes decoded)", torn, want, end, len(file))
+		}
+
+		j, err := OpenJournal(path, JournalOptions{FsyncInterval: time.Hour})
+		if err != nil {
+			t.Fatalf("OpenJournal on a cut journal: %v", err)
+		}
+		more := Receipt{Name: "z", Off: 7, N: 9, CRC: 42}
+		j.Append(more.Name, more.Off, more.N, more.CRC)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, torn, err := ReadJournal(path)
+		if want := append(slices.Clip(recs), more); err != nil || torn || !slices.Equal(got, want) {
+			t.Fatalf("after repair and one Append: %+v torn=%v err=%v, want %+v", got, torn, err, want)
 		}
 	})
 }

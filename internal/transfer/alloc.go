@@ -139,8 +139,8 @@ func NextChunk(p Plan, from int, queued func(i int) bool, bytesLeft func(i int) 
 		return -1
 	}
 	best, bestLeft := -1, 0.0
-	for i, c := range p.Chunks {
-		if i == from || !c.AcceptRealloc || !queued(i) {
+	for i := range p.Chunks {
+		if i == from || !p.Chunks[i].AcceptRealloc || !queued(i) {
 			continue
 		}
 		if left := bytesLeft(i); best < 0 || left > bestLeft {

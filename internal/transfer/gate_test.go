@@ -6,6 +6,7 @@ package transfer_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -16,11 +17,53 @@ import (
 	"github.com/didclab/eta/internal/transfer"
 )
 
+// bookedSim is a Sim that reads the books of the session it last
+// started on every tick: Background runs once per tick when set, and a
+// cross-traffic fraction of 0 leaves the bandwidth bits unchanged.
+type bookedSim struct {
+	*transfer.Sim
+	sess  transfer.Session
+	ticks int
+	check func(transfer.SimBooks)
+}
+
+func newBookedSim(tb testbed.Testbed, check func(transfer.SimBooks)) *bookedSim {
+	b := &bookedSim{Sim: transfer.NewSim(tb), check: check}
+	b.Background = func(time.Duration) float64 {
+		b.ticks++
+		b.check(transfer.ReadSimBooks(b.sess))
+		return 0
+	}
+	return b
+}
+
+func (b *bookedSim) Start(ctx context.Context, plan transfer.Plan) (transfer.Session, error) {
+	sess, err := b.Sim.Start(ctx, plan)
+	b.sess = sess
+	return sess, err
+}
+
+func (b *bookedSim) Run(ctx context.Context, plan transfer.Plan) (transfer.Report, error) {
+	sess, err := b.Start(ctx, plan)
+	if err != nil {
+		return transfer.Report{}, err
+	}
+	return sess.Finish()
+}
+
 // TestSimQuietTicksExact: a tick whose event state is unchanged reuses
 // the previous rates and power. A non-nil Background recomputes them
 // every tick, and a cross-traffic fraction of 0 leaves the bandwidth
 // bits unchanged, so every algorithm must report exactly the same run
 // either way — on every testbed and several datasets.
+//
+// The recompute-every-tick run also checks the session's books against
+// recomputation from scratch on every tick: Done, which reads the
+// unfinished-file counter, agrees with the scan of every chunk and
+// channel it replaced, and the counter equals the files no channel has
+// finished; the power memo's watts are bit-equal to the watts computed
+// with the memo cleared, including while GO's pool keeps a server that
+// holds no channel at its base activity floor.
 func TestSimQuietTicksExact(t *testing.T) {
 	ctx := context.Background()
 	type algo struct {
@@ -63,14 +106,33 @@ func TestSimQuietTicksExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					every := transfer.NewSim(tb)
-					every.Background = func(time.Duration) float64 { return 0 }
+					bad, idlePool := 0, 0
+					check := func(b transfer.SimBooks) {
+						idlePool += b.IdlePool
+						if bad < 5 && (b.Done != b.ScanDone || b.Unfinished != b.Files ||
+							math.Float64bits(float64(b.Watts)) != math.Float64bits(float64(b.FreshWatts))) {
+							bad++
+							t.Errorf("books disagree with the scans: %+v", b)
+						}
+					}
+					every := newBookedSim(tb, check)
 					want, err := a.run(every, ds, tb)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(gated, want) {
 						t.Errorf("gated run differs from recompute-every-tick run:\ngated %+v\nevery %+v", gated, want)
+					}
+					if every.ticks == 0 {
+						t.Fatal("no tick read the books")
+					}
+					end := transfer.ReadSimBooks(every.sess)
+					check(end)
+					if !end.Done {
+						t.Errorf("the last session is not done: %+v", end)
+					}
+					if a.name == "GO" && tb.ServersPerSite > 1 && idlePool == 0 {
+						t.Error("no tick had a pool server holding no channel; the pool case went untested")
 					}
 				})
 			}

@@ -90,19 +90,27 @@ func (s *Sim) Start(ctx context.Context, plan Plan) (Session, error) {
 		perByte: chainEnergyPerByte(s),
 		sites:   [2]*endsys.Server{&s.TB.Source, &s.TB.Dest},
 		acc:     make([]int, servers),
+		disk:    make([]float64, servers),
 		loads:   make([]srvLoad, servers),
+		power:   make([]serverPower, servers),
 	}
 	if ctx != nil {
 		sess.done = ctx.Done()
 	}
 	for i := range plan.Chunks {
-		cp := plan.Chunks[i]
-		ch := &simChunk{plan: cp, idx: i}
+		cp := &plan.Chunks[i]
+		ch := &simChunk{
+			plan: *cp,
+			idx:  i,
+			par:  cp.Parallelism(),
+			gap:  s.TB.Path.PerFileIdle(cp.Pipelining()) + s.TB.PerFileOverhead,
+		}
 		for _, f := range cp.Chunk.Files {
 			ch.bytesLeft += float64(f.Size)
 		}
 		sess.chunks = append(sess.chunks, ch)
 		sess.total += cp.Chunk.TotalSize()
+		sess.unfinished += cp.Chunk.Count()
 	}
 	alloc := make([]int, len(plan.Chunks))
 	Placement(alloc, plan, sess.queued)
@@ -128,8 +136,12 @@ func chainEnergyPerByte(s *Sim) float64 {
 // from plan.Chunk.Files[head:]; files returned by de-allocated channels
 // are pushed onto partials and drained first.
 type simChunk struct {
-	plan        ChunkPlan
-	idx         int // position in the plan
+	plan ChunkPlan
+	idx  int // position in the plan
+	// par and gap are fixed at Start: the streams per channel and the
+	// per-file gap, PerFileIdle(Pipelining()) + PerFileOverhead.
+	par         int
+	gap         time.Duration
 	head        int
 	partials    []float64
 	bytesLeft   float64
@@ -174,6 +186,17 @@ type srvLoad struct {
 	streams int
 }
 
+// serverPower memoises the watts each site's server of one index drew
+// at its last load. Power is a pure function of the load, so a server
+// whose load is unchanged since the last integratePower draws the same
+// watts; a load's rate is a sum of non-negative rates starting from +0,
+// never -0, so == on srvLoad is bit-equality.
+type serverPower struct {
+	load  srvLoad
+	watts [2]units.Watts // source, destination
+	ok    bool           // load and watts are set
+}
+
 type simSession struct {
 	ctx    context.Context
 	done   <-chan struct{} // ctx.Done(), nil when ctx cannot be cancelled
@@ -195,6 +218,10 @@ type simSession struct {
 	samples    []Sample
 	finished   bool
 	activeConc int
+	// unfinished counts the files no channel has finished: queued in a
+	// chunk or held by a channel. Handing a file to a channel or back to
+	// its chunk leaves it unchanged; only a finished file lowers it.
+	unfinished int
 
 	// Rates and power are pure functions of the event state: which
 	// channels exist and on which chunk and server, which hold a file,
@@ -210,27 +237,16 @@ type simSession struct {
 	// Per-tick scratch indexed by site server, cleared and reused every
 	// tick so that a tick allocates nothing.
 	acc   []int     // live channels per server
+	disk  []float64 // per-channel disk share per server, the lower site's
 	loads []srvLoad // load per server, for integratePower
+	power []serverPower
 }
 
 var errSimTimeout = errors.New("transfer: simulation exceeded MaxSimTime (transfer starved?)")
 
-// Done implements Session: every chunk is drained and no channel holds
-// an unfinished file. This is exact regardless of floating-point byte
-// accounting.
-func (s *simSession) Done() bool {
-	for _, c := range s.chunks {
-		if c.hasQueuedFiles() {
-			return false
-		}
-	}
-	for _, ch := range s.channels {
-		if ch.hasFile {
-			return false
-		}
-	}
-	return true
-}
+// Done implements Session: every file has been finished by a channel.
+// This is exact regardless of floating-point byte accounting.
+func (s *simSession) Done() bool { return s.unfinished == 0 }
 
 func (s *simSession) remainingF() float64 { return float64(s.total) - s.movedF }
 
@@ -308,7 +324,7 @@ func (s *simSession) applyAllocation(target []int) {
 func (s *simSession) newChannel(c *simChunk) *simChannel {
 	ch := &simChannel{
 		chunk:    c,
-		coldLeft: float64(s.sim.TB.Path.SlowStartBytes()) * float64(c.plan.Parallelism()),
+		coldLeft: float64(s.sim.TB.Path.SlowStartBytes()) * float64(c.par),
 	}
 	if s.plan.SpreadServers {
 		ch.serverIdx = s.nextSrv % len(s.acc)
@@ -416,8 +432,9 @@ func (s *simSession) step(dt time.Duration) {
 	}
 	s.dirty = false
 	// Move bytes; a channel may finish several small files in one tick.
+	t := dt.Seconds()
 	for _, ch := range s.channels {
-		s.advanceChannel(ch, dt)
+		s.advanceChannel(ch, t)
 	}
 	// Power reads the rates just set and the state after the bytes
 	// moved; an event during the move leaves dirty set for the next
@@ -439,13 +456,13 @@ func (s *simSession) rates() {
 	totalStreams := 0
 	for _, ch := range s.channels {
 		if ch.hasFile {
-			totalStreams += ch.chunk.plan.Parallelism()
+			totalStreams += ch.chunk.par
 		}
 	}
 	if totalStreams == 0 {
 		for _, ch := range s.channels {
 			if s.channelLive(ch) {
-				totalStreams += ch.chunk.plan.Parallelism()
+				totalStreams += ch.chunk.par
 			}
 		}
 	}
@@ -466,12 +483,9 @@ func (s *simSession) rates() {
 			ch.rate = 0
 			continue
 		}
-		rate := perStream * float64(ch.chunk.plan.Parallelism())
-		n := s.acc[ch.serverIdx]
-		for _, server := range s.sites {
-			if r := diskShare(server, n); r < rate {
-				rate = r
-			}
+		rate := perStream * float64(ch.chunk.par)
+		if d := s.disk[ch.serverIdx]; d < rate {
+			rate = d
 		}
 		if ch.coldLeft > 0 {
 			rate *= 0.5
@@ -518,14 +532,29 @@ func (s *simSession) channelLive(ch *simChannel) bool {
 }
 
 // countAccessors sets s.acc to how many live channels each site server
-// has. A channel reads from the source server and writes to the
-// destination server of the same index, so one count serves both sites.
+// has, and s.disk to the per-channel disk share on each server with
+// any: the lower of the two sites'. A channel reads from the source
+// server and writes to the destination server of the same index, so one
+// count serves both sites. The shares are all non-negative, so taking
+// the lower of the pair first and then the lower of that and a
+// channel's rate picks the same value as comparing the rate with each
+// site in turn.
 func (s *simSession) countAccessors() {
 	clear(s.acc)
 	for _, ch := range s.channels {
 		if s.channelLive(ch) {
 			s.acc[ch.serverIdx]++
 		}
+	}
+	for i, n := range s.acc {
+		if n == 0 {
+			continue // no live channel reads this server's share
+		}
+		d := diskShare(s.sites[0], n)
+		if r := diskShare(s.sites[1], n); r < d {
+			d = r
+		}
+		s.disk[i] = d
 	}
 }
 
@@ -538,9 +567,8 @@ func diskShare(server *endsys.Server, n int) float64 {
 	return float64(server.Disk.AggregateRate(n)) / float64(n)
 }
 
-// advanceChannel walks a channel through dt of simulated time.
-func (s *simSession) advanceChannel(ch *simChannel, dt time.Duration) {
-	t := dt.Seconds()
+// advanceChannel walks a channel through t seconds of simulated time.
+func (s *simSession) advanceChannel(ch *simChannel, t float64) {
 	for t > 1e-12 {
 		if ch.gap > 0 {
 			g := ch.gap.Seconds()
@@ -572,9 +600,9 @@ func (s *simSession) advanceChannel(ch *simChannel, dt time.Duration) {
 			s.consume(ch, ch.fileLeft)
 			ch.fileLeft = 0
 			ch.hasFile = false
+			s.unfinished--
 			s.dirty = true
-			q := ch.chunk.plan.Pipelining()
-			ch.gap = s.sim.TB.Path.PerFileIdle(q) + s.sim.TB.PerFileOverhead
+			ch.gap = ch.chunk.gap
 			continue
 		}
 		s.consume(ch, bytesBudget)
@@ -614,7 +642,7 @@ func (s *simSession) integratePower() units.Watts {
 		live++
 		l := &s.loads[ch.serverIdx]
 		l.procs++
-		l.streams += ch.chunk.plan.Parallelism()
+		l.streams += ch.chunk.par
 		if ch.hasFile {
 			l.rate += float64(ch.rate)
 		}
@@ -629,28 +657,38 @@ func (s *simSession) integratePower() units.Watts {
 	// Sum in server-index order: float addition is not associative, so
 	// the order must be fixed for the energy totals to be identical from
 	// run to run (the determinism contract of the parallel experiment
-	// engine, DESIGN.md §6).
+	// engine, DESIGN.md §6). Each site's watts are added on their own,
+	// source then destination, whether memoised or not.
 	var total units.Watts
 	for i := range s.loads {
 		l := &s.loads[i]
 		if l.procs == 0 && !pool {
 			continue // server takes no part in the transfer
 		}
-		for _, server := range s.sites {
-			var u endsys.Utilization
-			if l.procs == 0 && l.rate == 0 {
-				u = endsys.Utilization{CPU: server.CPUBaseActive}.Clamp()
-			} else {
-				u = server.UtilizationFor(endsys.Load{
-					Throughput: units.Rate(l.rate),
-					Processes:  l.procs,
-					Streams:    l.streams,
-				})
+		p := &s.power[i]
+		if !p.ok || p.load != *l {
+			p.load, p.ok = *l, true
+			for k, server := range s.sites {
+				p.watts[k] = s.sim.TB.Power.Power(siteUtilization(server, l), l.procs)
 			}
-			total += s.sim.TB.Power.Power(u, l.procs)
 		}
+		total += p.watts[0]
+		total += p.watts[1]
 	}
 	return total
+}
+
+// siteUtilization is a site server's utilization at load l. A pool
+// server holding no channel still pays its base activity floor.
+func siteUtilization(server *endsys.Server, l *srvLoad) endsys.Utilization {
+	if l.procs == 0 && l.rate == 0 {
+		return endsys.Utilization{CPU: server.CPUBaseActive}.Clamp()
+	}
+	return server.UtilizationFor(endsys.Load{
+		Throughput: units.Rate(l.rate),
+		Processes:  l.procs,
+		Streams:    l.streams,
+	})
 }
 
 var _ Executor = (*Sim)(nil)
