@@ -3,7 +3,6 @@ package proto
 import (
 	"bufio"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"strconv"
@@ -12,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/obs"
 	"github.com/didclab/eta/internal/obs/span"
@@ -603,7 +603,7 @@ func (ch *Channel) streamLoop(conn net.Conn) {
 		if ch.client.VerifyChecksums || ch.client.Journal != nil {
 			// One Checksum call serves both consumers; only the uint32
 			// crosses into the journal, never the payload buffer.
-			c := crc32.Checksum(payload, crcTable)
+			c := crc32c.Checksum(payload)
 			if ch.client.VerifyChecksums {
 				p.recordBlock(int64(h.Offset), int64(h.Length), c)
 			}

@@ -2,12 +2,12 @@ package proto
 
 import (
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/units"
 )
@@ -19,8 +19,8 @@ func TestCRC32CCombineMatchesSequential(t *testing.T) {
 		b := make([]byte, int(lenB))
 		rng.Read(a)
 		rng.Read(b)
-		whole := crc32.Checksum(append(append([]byte{}, a...), b...), crcTable)
-		combined := CRC32CCombine(crc32.Checksum(a, crcTable), crc32.Checksum(b, crcTable), int64(len(b)))
+		whole := crc32c.Checksum(append(append([]byte{}, a...), b...))
+		combined := CRC32CCombine(crc32c.Checksum(a), crc32c.Checksum(b), int64(len(b)))
 		return whole == combined
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -85,7 +85,7 @@ func BenchmarkCRC32CCombine(b *testing.B) {
 func TestCombineBlocksTiling(t *testing.T) {
 	data := make([]byte, 10000)
 	rand.New(rand.NewSource(7)).Read(data)
-	whole := crc32.Checksum(data, crcTable)
+	whole := crc32c.Checksum(data)
 
 	// Split into irregular blocks and shuffle.
 	var blocks []blockCRC
@@ -94,7 +94,7 @@ func TestCombineBlocksTiling(t *testing.T) {
 		lo, hi := bounds[i-1], bounds[i]
 		blocks = append(blocks, blockCRC{
 			off: lo, n: hi - lo,
-			crc: crc32.Checksum(data[lo:hi], crcTable),
+			crc: crc32c.Checksum(data[lo:hi]),
 		})
 	}
 	rand.New(rand.NewSource(9)).Shuffle(len(blocks), func(i, j int) {
@@ -147,8 +147,8 @@ func TestChecksumCatchesCorruption(t *testing.T) {
 	p := &pendingGet{length: 100}
 	data := make([]byte, 100)
 	FillSynth("x", 0, data)
-	p.recordBlock(0, int64(len(data)), crc32.Checksum(data, crcTable))
-	p.crc = crc32.Checksum(data, crcTable)
+	p.recordBlock(0, int64(len(data)), crc32c.Checksum(data))
+	p.crc = crc32c.Checksum(data)
 	if err := p.verifyChecksum(); err != nil {
 		t.Fatalf("clean verification failed: %v", err)
 	}
@@ -163,12 +163,12 @@ func TestCombineBlocksZeroLengthBlocks(t *testing.T) {
 	// contribute nothing to the CRC and must not break the tiling scan.
 	data := make([]byte, 1000)
 	rand.New(rand.NewSource(11)).Read(data)
-	whole := crc32.Checksum(data, crcTable)
+	whole := crc32c.Checksum(data)
 	blocks := []blockCRC{
 		{off: 0, n: 0, crc: 0},
-		{off: 0, n: 600, crc: crc32.Checksum(data[:600], crcTable)},
+		{off: 0, n: 600, crc: crc32c.Checksum(data[:600])},
 		{off: 600, n: 0, crc: 0},
-		{off: 600, n: 400, crc: crc32.Checksum(data[600:], crcTable)},
+		{off: 600, n: 400, crc: crc32c.Checksum(data[600:])},
 		{off: 1000, n: 0, crc: 0},
 	}
 	got, ok := combineBlocks(blocks, int64(len(data)))
@@ -189,7 +189,7 @@ func TestCombineBlocksSingleBlockFile(t *testing.T) {
 	// CRC — the degenerate case: one combine onto the zero CRC.
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(12)).Read(data)
-	whole := crc32.Checksum(data, crcTable)
+	whole := crc32c.Checksum(data)
 	got, ok := combineBlocks([]blockCRC{{off: 0, n: 4096, crc: whole}}, 4096)
 	if !ok || got != whole {
 		t.Errorf("single-block combine = %08x ok=%v, want %08x", got, ok, whole)
@@ -203,9 +203,9 @@ func TestVerifyChecksumResumeOffsetNormalization(t *testing.T) {
 	total := make([]byte, 1500)
 	FillSynth("resumed.dat", 0, total)
 	p := &pendingGet{name: "resumed.dat", offset: 1000, length: 500}
-	p.recordBlock(1000, 200, crc32.Checksum(total[1000:1200], crcTable))
-	p.recordBlock(1200, 300, crc32.Checksum(total[1200:1500], crcTable))
-	p.crc = crc32.Checksum(total[1000:1500], crcTable)
+	p.recordBlock(1000, 200, crc32c.Checksum(total[1000:1200]))
+	p.recordBlock(1200, 300, crc32c.Checksum(total[1200:1500]))
+	p.crc = crc32c.Checksum(total[1000:1500])
 	if err := p.verifyChecksum(); err != nil {
 		t.Fatalf("resumed-range verification failed: %v", err)
 	}
@@ -214,8 +214,8 @@ func TestVerifyChecksumResumeOffsetNormalization(t *testing.T) {
 	// start of the range; prove a genuinely-absolute recording fails and
 	// carries the typed sentinel.
 	q := &pendingGet{name: "resumed.dat", offset: 0, length: 500}
-	q.recordBlock(1000, 200, crc32.Checksum(total[1000:1200], crcTable))
-	q.recordBlock(1200, 300, crc32.Checksum(total[1200:1500], crcTable))
+	q.recordBlock(1000, 200, crc32c.Checksum(total[1000:1200]))
+	q.recordBlock(1200, 300, crc32c.Checksum(total[1200:1500]))
 	q.crc = p.crc
 	err := q.verifyChecksum()
 	if err == nil {
@@ -233,8 +233,8 @@ func TestVerifyChecksumTypedError(t *testing.T) {
 	data := make([]byte, 256)
 	FillSynth("t.dat", 0, data)
 	p := &pendingGet{name: "t.dat", length: 256}
-	p.recordBlock(0, int64(len(data)), crc32.Checksum(data, crcTable))
-	p.crc = crc32.Checksum(data, crcTable)
+	p.recordBlock(0, int64(len(data)), crc32c.Checksum(data))
+	p.crc = crc32c.Checksum(data)
 	if err := p.verifyChecksum(); err != nil {
 		t.Fatalf("clean verification failed: %v", err)
 	}

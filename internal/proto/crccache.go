@@ -8,7 +8,7 @@ import "sync"
 // extension). On a repeat serve of an unchanged file the serve loop
 // skips re-hashing payload bytes (and, on the sendfile path, reading
 // them at all): the cached tile CRCs are combined into the whole-range
-// checksum with CRC32CCombine instead. Tiles are the same shape the
+// checksum with crc32c.Combine instead. Tiles are the same shape the
 // client's combineBlocks works in, so the cached sidecar and the
 // client-side verification agree by construction.
 //

@@ -2,17 +2,16 @@ package proto_test
 
 import (
 	"fmt"
-	"hash/crc32"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/proto"
 )
 
 func ExampleCRC32CCombine() {
-	table := crc32.MakeTable(crc32.Castagnoli)
 	a := []byte("energy-aware ")
 	b := []byte("data transfers")
-	whole := crc32.Checksum(append(append([]byte{}, a...), b...), table)
-	combined := proto.CRC32CCombine(crc32.Checksum(a, table), crc32.Checksum(b, table), int64(len(b)))
+	whole := crc32c.Checksum(append(append([]byte{}, a...), b...))
+	combined := proto.CRC32CCombine(crc32c.Checksum(a), crc32c.Checksum(b), int64(len(b)))
 	fmt.Println(whole == combined)
 	// Output: true
 }

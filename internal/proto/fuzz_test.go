@@ -5,17 +5,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/units"
 )
@@ -353,7 +355,7 @@ func FuzzPlanResume(f *testing.F) {
 					copy(disk[lo:hi], want[lo:hi])
 				}
 				if blocks&(4<<k) != 0 && hi > lo {
-					crc := crc32.Checksum(want[lo:hi], crcTable)
+					crc := crc32c.Checksum(want[lo:hi])
 					if content&(1<<k) != 0 {
 						crc = ^crc
 					}
@@ -433,7 +435,7 @@ func FuzzPlanResume(f *testing.F) {
 			if recovered {
 				for _, r := range kept {
 					if r.Name != df.Name || r.Off+r.N > size || r.Off+r.N > int64(len(df.disk)) ||
-						crc32.Checksum(df.disk[r.Off:r.Off+r.N], crcTable) != r.CRC {
+						crc32c.Checksum(df.disk[r.Off:r.Off+r.N]) != r.CRC {
 						continue
 					}
 					for b := r.Off; b < r.Off+r.N; b++ {
@@ -579,6 +581,169 @@ func FuzzReadJournal(f *testing.F) {
 		got, torn, err := ReadJournal(path)
 		if want := append(slices.Clip(recs), more); err != nil || torn || !slices.Equal(got, want) {
 			t.Fatalf("after repair and one Append: %+v torn=%v err=%v, want %+v", got, torn, err, want)
+		}
+	})
+}
+
+// FuzzServerHandshake feeds one arbitrary first line to the server's
+// connection handler over net.Pipe, next to a live control session
+// whose id a DATA line may name; pad appends that many 'x' bytes, so
+// lines reach past maxLineLen without long seeds. The server must not
+// panic. Within the handshake deadline it must answer an ERR line or
+// close the conn, with two exceptions: a complete HELLO line gets
+// "OK <sid>", and a DATA line that names the live session and a valid
+// index attaches silently, and the conn is closed once that session
+// ends. Every handler goroutine must return, and the goroutine count
+// must fall back to where the exec started.
+func FuzzServerHandshake(f *testing.F) {
+	for _, line := range []string{
+		"HELLO", "HELLO extra fields", "hello", "DATA 1 0", "DATA 1 255",
+		"DATA 1 256", "DATA 1 -1", "DATA 1 +3", "DATA 01 0", "DATA 2 0",
+		"DATA 18446744073709551616 0", "DATA 1", "DATA 1 0 0", "DATA x y",
+		"OPEN 4", "LIST", "QUIT", "GET 1 a%20b 0 10", "", " \t ", "\r",
+		"DATA %31 0", "a%zz%00 b%2", "\x00\xff DATA",
+	} {
+		f.Add(line, true, uint16(0))
+	}
+	f.Add("DATA 1 0", false, uint16(0)) // the peer hangs up mid-line
+	f.Add("HELLO ", true, uint16(maxLineLen-7))
+	f.Add("HELLO ", true, uint16(maxLineLen-6))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	const handshake = 2 * time.Second
+	srv, err := Serve(ln, ServerConfig{
+		Store:        NewSynthStore(dataset.NewGenerator(1).Uniform(2, 4*units.KB)),
+		StallTimeout: handshake,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Close() })
+	f.Fuzz(func(t *testing.T, line string, newline bool, pad uint16) {
+		line, _, _ = strings.Cut(line, "\n")
+		line += strings.Repeat("x", int(pad))
+		// Every exec starts from an empty server whose next session is
+		// 1, so a seed's "DATA 1 ..." names the live session.
+		srv.mu.Lock()
+		left := len(srv.sessions)
+		srv.nextSID = 0
+		srv.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%d sessions left from the previous exec", left)
+		}
+		base := runtime.NumGoroutine()
+		deadline := time.Now().Add(handshake + time.Second)
+		var handlers sync.WaitGroup
+		handle := func() net.Conn {
+			client, server := net.Pipe()
+			_ = client.SetDeadline(deadline)
+			handlers.Add(1)
+			go func() {
+				defer handlers.Done()
+				srv.handleConn(server)
+			}()
+			return client
+		}
+
+		ctrl := handle()
+		defer ctrl.Close()
+		if _, err := io.WriteString(ctrl, "HELLO\n"); err != nil {
+			t.Fatal(err)
+		}
+		verb, fields, err := readLine(bufio.NewReader(ctrl))
+		if err != nil || verb != respOK || len(fields) != 1 {
+			t.Fatalf("control HELLO answered %q %q (%v)", verb, fields, err)
+		}
+		sid, err := strconv.ParseUint(fields[0], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var want string // what a conforming server does with line
+		parts := strings.Fields(line)
+		switch {
+		case !newline || len(line)+1 > maxLineLen || len(parts) == 0:
+			want = "close"
+		case parts[0] == "HELLO":
+			want = "ok"
+		case parts[0] == cmdData && len(parts) == 3:
+			s, err1 := strconv.ParseUint(parts[1], 10, 64)
+			i, err2 := strconv.Atoi(parts[2])
+			if err1 == nil && err2 == nil && s == sid && i >= 0 && i < maxStreams {
+				want = "attach"
+			} else {
+				want = "err"
+			}
+		default:
+			want = "err"
+		}
+
+		conn := handle()
+		defer conn.Close()
+		msg := line
+		if newline {
+			msg += "\n"
+		}
+		// A write the server cuts short by closing is one of the
+		// allowed outcomes; the read below tells them apart.
+		_, _ = io.WriteString(conn, msg)
+		if !newline {
+			conn.Close()
+		}
+		if want == "attach" {
+			// Ending the session must close its streams.
+			ctrl.Close()
+		}
+		// The reply's first line, then for every outcome but "ok" the
+		// close that must follow it.
+		br := bufio.NewReader(conn)
+		reply, err := br.ReadString('\n')
+		if err == nil && want != "ok" {
+			var rest []byte
+			rest, err = io.ReadAll(io.LimitReader(br, 1<<10))
+			reply += string(rest)
+		}
+		if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("line %q (%s): reading the reply: %v (after %q)", line, want, err, reply)
+		}
+		isErrLine := strings.HasPrefix(reply, respErr+" ") && strings.Count(reply, "\n") == 1
+		switch want {
+		case "ok":
+			if !strings.HasPrefix(reply, respOK+" ") || !strings.HasSuffix(reply, "\n") {
+				t.Fatalf("line %q: reply %q, want OK <sid>", line, reply)
+			}
+		case "err":
+			if !isErrLine {
+				t.Fatalf("line %q: reply %q, want one ERR line and a close", line, reply)
+			}
+		case "close":
+			if reply != "" {
+				t.Fatalf("line %q: reply %q, want a close", line, reply)
+			}
+		case "attach":
+			// The session can end before the DATA line is looked up, so
+			// an "unknown session" refusal is allowed too.
+			if reply != "" && !isErrLine {
+				t.Fatalf("line %q: reply %q, want a close", line, reply)
+			}
+		}
+		ctrl.Close()
+		conn.Close()
+
+		done := make(chan struct{})
+		go func() { handlers.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Until(deadline)):
+			t.Fatalf("line %q: a connection handler is still running", line)
+		}
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("line %q: %d goroutines, %d before the exec", line, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	})
 }

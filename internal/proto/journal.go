@@ -5,12 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"time"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/obs"
 	"github.com/didclab/eta/internal/obs/span"
 )
@@ -208,8 +209,12 @@ func (j *Journal) flusher(interval time.Duration) {
 // by Err/Close rather than returned per append: the journal is a
 // recovery accelerator, and recovery re-verifies everything against the
 // destination bytes, so a sick journal must not fail the transfer.
+// A receipt the record cannot hold (an empty or over-long name, a
+// length outside 0..2^32-1, a negative offset) is dropped: an empty
+// name would read back as a torn tail and hide every later receipt,
+// and a length would be truncated.
 func (j *Journal) Append(name string, off, n int64, crc uint32) {
-	if j == nil || n < 0 || off < 0 || len(name) > maxJournalName {
+	if j == nil || n < 0 || n > math.MaxUint32 || off < 0 || len(name) == 0 || len(name) > maxJournalName {
 		return
 	}
 	j.mu.Lock()
@@ -225,7 +230,7 @@ func (j *Journal) Append(name string, off, n int64, crc uint32) {
 		binary.BigEndian.PutUint32(rec[11:15], uint32(n))
 		binary.BigEndian.PutUint32(rec[15:19], crc)
 		copy(rec[recFixedSize:], name)
-		sum := crc32.Checksum(rec[:recFixedSize+len(name)], crcTable)
+		sum := crc32c.Checksum(rec[:recFixedSize+len(name)])
 		binary.BigEndian.PutUint32(rec[recFixedSize+len(name):], sum)
 		if _, err := j.bw.Write(rec); err != nil {
 			j.err = err
@@ -366,8 +371,8 @@ func scanJournal(path string) (recs []Receipt, cleanLen int64, torn bool, err er
 		if _, err := io.ReadFull(br, tail); err != nil {
 			return recs, cleanLen, true, nil
 		}
-		sum := crc32.Checksum(fixed, crcTable)
-		sum = crc32.Update(sum, crcTable, tail[:nameLen])
+		sum := crc32c.Checksum(fixed)
+		sum = crc32c.Update(sum, tail[:nameLen])
 		if sum != binary.BigEndian.Uint32(tail[nameLen:]) {
 			return recs, cleanLen, true, nil
 		}

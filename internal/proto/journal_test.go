@@ -2,11 +2,11 @@ package proto
 
 import (
 	"context"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/obs"
 	"github.com/didclab/eta/internal/units"
@@ -172,8 +172,10 @@ func TestJournalRejectsUnencodableReceipts(t *testing.T) {
 		long[i] = 'n'
 	}
 	j.Append(string(long), 0, 10, 1) // name too long
+	j.Append("", 0, 10, 1)           // empty name
 	j.Append("x", -1, 10, 1)         // negative offset
 	j.Append("x", 0, -1, 1)          // negative length
+	j.Append("x", 0, 1<<32, 1)       // length past the record's 32 bits
 	j.Append("x", 0, 10, 1)          // the only valid one
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -181,6 +183,26 @@ func TestJournalRejectsUnencodableReceipts(t *testing.T) {
 	recs, torn, err := ReadJournal(path)
 	if err != nil || torn || len(recs) != 1 || recs[0].Name != "x" {
 		t.Errorf("unencodable receipts leaked: recs=%+v torn=%v err=%v", recs, torn, err)
+	}
+}
+
+func TestJournalEmptyNameKeepsLaterReceipts(t *testing.T) {
+	// A record with a zero-length name reads back as a torn tail, so
+	// appending one would hide "b" and truncate it on the next open.
+	path := journalPathIn(t)
+	j, err := OpenJournal(path, JournalOptions{FsyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append("a", 0, 10, 1)
+	j.Append("", 10, 10, 2)
+	j.Append("b", 0, 10, 3)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, torn, err := ReadJournal(path)
+	if err != nil || torn || len(recs) != 2 || recs[0].Name != "a" || recs[1].Name != "b" {
+		t.Errorf("read back %+v torn=%v err=%v, want [a b] untorn", recs, torn, err)
 	}
 }
 
@@ -208,7 +230,7 @@ func markPartial(t *testing.T, root string, f dataset.File, spans [][2]int64) []
 	crcs := make([]uint32, len(spans))
 	for i, s := range spans {
 		FillSynth(f.Name, s[0], buf[s[0]:s[0]+s[1]])
-		crcs[i] = crc32.Checksum(buf[s[0]:s[0]+s[1]], crcTable)
+		crcs[i] = crc32c.Checksum(buf[s[0] : s[0]+s[1]])
 	}
 	path := filepath.Join(root, filepath.FromSlash(f.Name))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

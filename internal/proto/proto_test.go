@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -17,6 +16,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/obs"
 	"github.com/didclab/eta/internal/units"
@@ -705,7 +705,7 @@ func TestFillSynthGolden(t *testing.T) {
 	} {
 		p := make([]byte, g.n)
 		FillSynth(g.name, g.off, p)
-		if got := crc32.Checksum(p, crcTable); got != g.crc {
+		if got := crc32c.Checksum(p); got != g.crc {
 			t.Errorf("FillSynth(%q, %d, %d bytes) crc %08x, want %08x", g.name, g.off, g.n, got, g.crc)
 		}
 	}
@@ -762,5 +762,19 @@ func TestServerStats(t *testing.T) {
 	tail := bytes.Join(log.Tail(0), []byte("\n"))
 	if !bytes.Contains(tail, []byte(`"type":"server_drained"`)) || !bytes.Contains(tail, []byte(`"forced":false`)) {
 		t.Errorf("session not reaped before the drain:\n%s", tail)
+	}
+}
+
+func TestDataStreamAttachedAfterSessionCloseIsClosed(t *testing.T) {
+	// A DATA handshake can look its session up just before the session
+	// closes and attach just after; the stream must not stay open.
+	ctrl, _ := net.Pipe()
+	sess := &serverSession{ctrl: ctrl, dataGot: make(chan struct{}, 1)}
+	sess.close()
+	client, server := net.Pipe()
+	sess.attachData(0, server)
+	_ = client.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := client.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("read from a stream attached to a closed session: %v, want EOF", err)
 	}
 }

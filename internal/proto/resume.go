@@ -1,10 +1,10 @@
 package proto
 
 import (
-	"hash/crc32"
 	"os"
 	"sort"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/obs"
 	"github.com/didclab/eta/internal/units"
@@ -275,7 +275,7 @@ func verifyDiskRange(f *os.File, off, n int64, crc uint32, buf []byte) bool {
 		if _, err := f.ReadAt(chunk, off); err != nil {
 			return false
 		}
-		sum = crc32.Update(sum, crcTable, chunk)
+		sum = crc32c.Update(sum, chunk)
 		off += int64(len(chunk))
 		n -= int64(len(chunk))
 	}

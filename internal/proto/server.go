@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -13,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/obs"
 	"github.com/didclab/eta/internal/obs/span"
 	"github.com/didclab/eta/internal/units"
@@ -476,6 +476,13 @@ func (sess *serverSession) sendRaw(line string) {
 
 func (sess *serverSession) attachData(idx int, conn net.Conn) {
 	sess.dataMu.Lock()
+	if sess.closed.Load() {
+		// close has run, or is waiting for dataMu after setting closed:
+		// a stream stored now would never be closed.
+		sess.dataMu.Unlock()
+		conn.Close()
+		return
+	}
 	for len(sess.data) <= idx {
 		sess.data = append(sess.data, nil)
 	}
@@ -561,7 +568,7 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	}
 
 	// The whole-range CRC is built by combining per-block CRCs with
-	// CRC32CCombine. When the store can vouch for the file's identity
+	// crc32c.Combine. When the store can vouch for the file's identity
 	// and the range is block-aligned, block CRCs come from (and feed)
 	// the sidecar cache.
 	if req.Offset%blockSize == 0 {
@@ -616,7 +623,7 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	for b := int64(0); b < g.blocks; b++ {
 		w := writers[b%int64(len(writers))]
 		_, n := g.block(b)
-		crcState = CRC32CCombine(crcState, w.crcs[b/int64(len(writers))], n)
+		crcState = crc32c.Combine(crcState, w.crcs[b/int64(len(writers))], n)
 	}
 	sess.srv.inst.requestsServed.Inc()
 	sess.srv.inst.bytesServed.Add(req.Length)
@@ -791,7 +798,7 @@ func (w *streamWriter) lookup(g *getJob, off, n int64) (uint32, bool) {
 // hash returns the CRC of p, the block at off, and files it in the
 // sidecar, which keeps it only when the block is exactly one tile.
 func (w *streamWriter) hash(g *getJob, p []byte, off int64) uint32 {
-	crc := crc32.Checksum(p, crcTable)
+	crc := crc32c.Checksum(p)
 	if g.sidecar != nil {
 		g.sidecar.store(off, int64(len(p)), crc)
 		w.inst.crcCacheMisses.Inc()

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"net"
 	"os"
@@ -12,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/didclab/eta/internal/crc32c"
 	"github.com/didclab/eta/internal/dataset"
 	"github.com/didclab/eta/internal/units"
 )
@@ -86,7 +86,7 @@ func TestClientRejectsBlockOutsideRange(t *testing.T) {
 					return
 				}
 				data.Write(payload)
-				fmt.Fprintf(ctrl, "%s %s %d\n", respDone, id, crc32.Checksum(payload, crcTable))
+				fmt.Fprintf(ctrl, "%s %s %d\n", respDone, id, crc32c.Checksum(payload))
 			})
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, "f"), old, 0o644); err != nil {

@@ -3,7 +3,6 @@ package proto
 import (
 	"bytes"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -12,6 +11,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"github.com/didclab/eta/internal/crc32c"
 )
 
 // chopConn is a data stream held in memory. Each Read returns at most
@@ -237,7 +238,7 @@ func TestStreamLoopChoppedReads(t *testing.T) {
 			}
 			ch, ps := streamChannel(c, tc.gets, sink)
 			for i, g := range tc.gets {
-				ps[i].finishCtrl(crc32.Checksum(want[g.name][g.off:], crcTable), nil)
+				ps[i].finishCtrl(crc32c.Checksum(want[g.name][g.off:]), nil)
 			}
 			runStreamLoop(ch, conn)
 
@@ -293,7 +294,7 @@ func TestStreamLoopChoppedReads(t *testing.T) {
 				t.Fatalf("journal holds %d receipts, want %d", len(recs), whole)
 			}
 			for _, r := range recs {
-				if c := crc32.Checksum(want[r.Name][r.Off:r.Off+r.N], crcTable); r.CRC != c {
+				if c := crc32c.Checksum(want[r.Name][r.Off : r.Off+r.N]); r.CRC != c {
 					t.Errorf("receipt %s %d+%d: CRC %08x, want %08x", r.Name, r.Off, r.N, r.CRC, c)
 				}
 			}

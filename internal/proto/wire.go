@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/url"
 	"strconv"
@@ -259,6 +258,3 @@ func readLine(r *bufio.Reader) (verb string, fields []string, err error) {
 	}
 	return parts[0], parts[1:], nil
 }
-
-// crcTable is the polynomial used for end-to-end integrity checks.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -78,13 +78,24 @@ if [ -n "$bad_deps" ]; then
     exit 1
 fi
 
+echo "== crc32c dependency audit (stdlib only)"
+# Every layer that checksums bytes imports the CRC package, so it must
+# import nothing first-party itself.
+bad_deps="$(go list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' ./internal/crc32c \
+    | grep -v '^$' | grep -v '^github.com/didclab/eta/internal/crc32c$' || true)"
+if [ -n "$bad_deps" ]; then
+    echo "internal/crc32c must only depend on the stdlib, found:" >&2
+    echo "$bad_deps" >&2
+    exit 1
+fi
+
 echo "== proto dependency audit (stdlib + first-party allowlist)"
 # The data plane must stay stdlib-plus-first-party: its hot paths lean
 # on exact stdlib behaviour (net.Buffers writev, sendfile, hash/crc32)
 # and a third-party dependency creeping in here would be the first place
 # supply-chain risk meets every byte transferred. The allowlist is the
 # current closure; extending it is a reviewed decision, not an accident.
-proto_allow='^github.com/didclab/eta/internal/(proto|obs|obs/span|units|dataset|transfer|endsys|netem|power|netpower|testbed)$'
+proto_allow='^github.com/didclab/eta/internal/(proto|crc32c|obs|obs/span|units|dataset|transfer|endsys|netem|power|netpower|testbed)$'
 bad_deps="$(go list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' ./internal/proto \
     | grep -v '^$' | grep -Ev "$proto_allow" || true)"
 if [ -n "$bad_deps" ]; then
